@@ -8,11 +8,13 @@ The package computes, with integer and rational arithmetic only:
 * Eulerian coorientations: tests, exhaustive enumeration, and the named
   checkerboard and per-curve constructions,
 * the intersection norm via maximization over Eulerian classes, and its
-  dual unit ball with exact extreme-point / membership / interior tests,
+  dual unit ball with exact extreme points,
+* the highest eikonal extension of a target class as an exact
+  shortest-path potential on the dual graph, which decides the class's
+  position against the dual ball (with a certificate walk when outside)
+  and realizes it as an Eulerian coorientation,
 * an independent brute-force oracle for the norm (shortest cycles in the
   truncated maximal abelian cover plus a decomposition dynamic program),
-* realization of a target class as an Eulerian coorientation through the
-  highest eikonal extension of its seed values,
 * classification of negative Birkhoff cross sections as interior lattice
   points of the dual ball, with the topological invariants of each section.
 """
@@ -24,6 +26,7 @@ from .errors import (
     BoxExceeded,
     DartMultiplicity,
     DegenerateBall,
+    InternalError,
     MalformedInput,
     NotABasis,
     NotBipartite,
@@ -88,8 +91,10 @@ from .oracle import (
 )
 from .eikonal import (
     EikonalField,
+    HighestPotential,
     RealizationResult,
     extend_highest,
+    highest_potential,
     realize,
     seed_values,
 )

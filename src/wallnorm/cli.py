@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import fixtures
@@ -93,8 +93,7 @@ def cmd_coorientations(config: RunConfig, out) -> int:
 
 
 def cmd_classes(config: RunConfig, out) -> int:
-    config.options["classes"] = True
-    return cmd_coorientations(config, out)
+    return cmd_coorientations(replace(config, options={**config.options, "classes": True}), out)
 
 
 def cmd_ball(config: RunConfig, out) -> int:

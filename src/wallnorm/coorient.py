@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Sequence
 
-from .errors import MalformedInput, NotBipartite, NotEulerian, ResourceLimit
+from .errors import InternalError, MalformedInput, NotBipartite, NotEulerian, ResourceLimit
 from .homology import Coords, HomologyBasis, homology_basis
 from .surface_map import Crossing, WallSystemMap
 
@@ -114,6 +114,12 @@ def _enum_cap(limit: int | None) -> int:
     return int(env) if env else DEFAULT_ENUM_CAP
 
 
+def _over_cap(cap: int) -> ResourceLimit:
+    return ResourceLimit(
+        f"Eulerian enumeration exceeded the cap of {cap}; results would be partial"
+    )
+
+
 def iter_eulerian(wmap: WallSystemMap, limit: int | None = None) -> Iterator[Coorientation]:
     """Stream all Eulerian coorientations, lexicographically, + before -.
 
@@ -157,10 +163,7 @@ def iter_eulerian(wmap: WallSystemMap, limit: int | None = None) -> Iterator[Coo
         if e == e_count:
             yielded += 1
             if yielded > cap:
-                raise ResourceLimit(
-                    f"Eulerian enumeration exceeded the cap of {cap}; "
-                    f"results would be partial"
-                )
+                raise _over_cap(cap)
             yield Coorientation(tuple(signs))
             return
         for s in (1, -1):
@@ -183,13 +186,19 @@ def enumerate_eulerian(
     basis: HomologyBasis | None = None,
     limit: int | None = None,
 ) -> EulerianSet:
-    """Exhaustive, duplicate-free Eulerian enumeration with class multiset."""
+    """Exhaustive, duplicate-free Eulerian enumeration with class multiset.
+
+    The cap applies alike to a fresh and to a cached enumeration.
+    """
     if basis is None:
         basis = homology_basis(wmap)
+    cap = _enum_cap(limit)
     items = _eulerian_cache.get(wmap.digest)
     if items is None:
-        items = tuple(iter_eulerian(wmap, limit))
+        items = tuple(iter_eulerian(wmap, cap))
         _eulerian_cache[wmap.digest] = items
+    elif len(items) > cap:
+        raise _over_cap(cap)
     key = (wmap.digest, basis.signature)
     classes = _class_cache.get(key)
     if classes is None:
@@ -240,10 +249,12 @@ def brunella_coorientations(wmap: WallSystemMap) -> list[Coorientation]:
         covered = set()
         for d in curve.darts:
             e = wmap.dart_edge[d]
-            assert e not in covered, "traversal covered an edge twice"
+            if e in covered:
+                raise InternalError("curve traversal covered an edge twice")
             covered.add(e)
             assignment.append((e, 1 if wmap.dart_is_tail[d] else -1))
-        assert covered == set(curve.edges)
+        if covered != set(curve.edges):
+            raise InternalError("curve traversal missed an edge of the curve")
         per_curve.append(assignment)
 
     out = []

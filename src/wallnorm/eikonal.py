@@ -1,19 +1,31 @@
 """Constructive realization of a class as an Eulerian coorientation.
 
-A target class n seeds integer values n.h on the lifts of a base face in
+A target class n seeds integer values n.h on the lifts (0, h) of face 0 in
 the maximal abelian cover.  The highest extension
 
     f(x) = min over seeds y of  seed(y) + distance(x, y)
 
-is computed on a truncated box; when the seed is admissible (n inside the
-dual ball, congruent to the crossing parity class) the extension is
-eikonal, changing by exactly one across every wall, and the change
-descends to a coorientation of the wall system.
+is equivariant under the deck group, so it factors as
+f(F, h) = n.h + g(F) with a potential g on the finite dual graph: g is the
+shortest-path distance from face 0 when crossing edge e costs 1 - n.w_e
+from right to left and 1 + n.w_e from left to right (w_e the cocycle
+weights of e).  ``highest_potential`` computes g exactly by Bellman-Ford
+and reads the position of n against the dual ball off it:
 
-Truncation is handled by doubling the radius until the read-off signs
-stabilize across two consecutive radii, then verifying the output
-outright (Eulerian plus class check); if verification keeps failing at
-the radius cap, the realization falls back to an enumeration lookup.
+* a negative cycle is a closed dual walk shorter than its pairing with n,
+  so n is outside the ball, and the walk is the certificate;
+* otherwise a cycle of tight crossings (zero reduced cost) is a walk whose
+  length equals its pairing with n, so n is on the boundary;
+* otherwise n is interior.
+
+When n is inside the ball and congruent to the crossing parity class,
+f is eikonal, changing by exactly one across every wall, and the change
+n.w_e + g(left) - g(right) descends to a coorientation of the wall system:
+the realization.
+
+``extend_highest`` computes the same extension on a truncated box of the
+cover, by multi-source shortest paths; it is kept as an independent check
+of the potential, off the realization path.
 """
 
 from __future__ import annotations
@@ -24,10 +36,9 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .coorient import Coorientation, class_of, is_eulerian, iter_eulerian
-from .errors import NotRealizable, ResourceLimit
+from .errors import InternalError, NotRealizable
 from .homology import Coords, HomologyBasis, gamma_parity
-from .normball import contains, dual_ball
-from .surface_map import WallSystemMap
+from .surface_map import Crossing, Walk, WallSystemMap
 
 State = tuple[int, Coords]
 
@@ -176,20 +187,101 @@ def read_coorientation(field: EikonalField, safe_radius: int) -> Coorientation |
 
 
 @dataclass(frozen=True)
+class HighestPotential:
+    """The highest extension of a target's seed n.h, as a potential on the faces.
+
+    ``position`` is 'outside', 'boundary' or 'interior'.  Outside the ball,
+    ``certificate`` is a closed dual walk whose length is less than its
+    pairing with the target and ``values``/``steps`` are None.  Otherwise
+    ``values`` holds g per face (g(0) = 0) and ``steps`` the change of the
+    extension across each edge, right to left.
+    """
+
+    position: str
+    values: tuple[int, ...] | None = None
+    steps: tuple[int, ...] | None = None
+    certificate: Walk | None = None
+
+
+def highest_potential(
+    wmap: WallSystemMap, basis: HomologyBasis, n: Sequence[int]
+) -> HighestPotential:
+    """Bellman-Ford from face 0 on the dual graph with the target's crossing costs."""
+    n = tuple(int(x) for x in n)
+    if len(n) != basis.rank:
+        raise ValueError(f"target class must have {basis.rank} coordinates")
+    ends = wmap.dual_graph.ends
+    pairing = [sum(a * b for a, b in zip(n, w)) for w in basis.edge_weights]
+    # arcs (from face, to face, cost, crossing): right -> left is direction +1
+    arcs = []
+    for e, (right, left) in enumerate(ends):
+        arcs.append((right, left, 1 - pairing[e], (e, 1)))
+        arcs.append((left, right, 1 + pairing[e], (e, -1)))
+    faces = wmap.dual_graph.node_count
+    g: list[int | None] = [None] * faces
+    g[0] = 0
+    parent: list[tuple[int, Crossing] | None] = [None] * faces
+    for _ in range(faces):
+        changed = None
+        for u, v, cost, crossing in arcs:
+            gu = g[u]
+            if gu is not None and (g[v] is None or gu + cost < g[v]):
+                g[v] = gu + cost
+                parent[v] = (u, crossing)
+                changed = v
+        if changed is None:
+            break
+    else:
+        return HighestPotential("outside", certificate=_parent_cycle(parent, changed, faces))
+
+    tight = [(u, v) for u, v, cost, _ in arcs if g[u] + cost == g[v]]
+    position = "boundary" if _has_cycle(faces, tight) else "interior"
+    steps = tuple(pairing[e] + g[left] - g[right] for e, (right, left) in enumerate(ends))
+    return HighestPotential(position, tuple(g), steps)
+
+
+def _parent_cycle(parent: list, node: int, faces: int) -> Walk:
+    """The cycle of the parent pointers reached from a node relaxed in round F.
+
+    A cycle of Bellman-Ford parent pointers has negative cost.
+    """
+    for _ in range(faces):
+        node = parent[node][0]
+    walk = []
+    here = node
+    while True:
+        here, crossing = parent[here]
+        walk.append(crossing)
+        if here == node:
+            return tuple(reversed(walk))
+
+
+def _has_cycle(faces: int, arcs: list[tuple[int, int]]) -> bool:
+    """Whether the directed graph on the faces has a cycle (Kahn's algorithm)."""
+    indegree = [0] * faces
+    out: list[list[int]] = [[] for _ in range(faces)]
+    for u, v in arcs:
+        out[u].append(v)
+        indegree[v] += 1
+    ready = [f for f in range(faces) if indegree[f] == 0]
+    removed = 0
+    while ready:
+        u = ready.pop()
+        removed += 1
+        for v in out[u]:
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                ready.append(v)
+    return removed < faces
+
+
+@dataclass(frozen=True)
 class RealizationResult:
     """An Eulerian coorientation realizing the target class."""
 
     coorientation: Coorientation
     target: Coords
-    method: str  # "eikonal" or "enumeration-fallback"
-
-
-def _initial_radius(basis: HomologyBasis, n: Coords) -> int:
-    max_weight = max(
-        (abs(x) for w in basis.edge_weights for x in w), default=1
-    )
-    max_target = max((abs(x) for x in n), default=0)
-    return max(4, 2 * (max_weight + 1), max_target + 2)
+    method: str  # "eikonal" or "enumeration-fallback" (the lookup method)
 
 
 def realize(
@@ -197,15 +289,15 @@ def realize(
     basis: HomologyBasis,
     n: Sequence[int],
     method: str = "auto",
-    max_doublings: int = 3,
 ) -> RealizationResult:
     """Produce an Eulerian coorientation of class n, or raise NotRealizable.
 
-    Feasibility is decided first: n must be congruent to the crossing
-    parity class mod 2 and lie in the dual ball.  The eikonal construction
-    then runs with radius doubling; its output is verified outright, so the
-    stopping heuristic can only cost completeness, which the enumeration
-    fallback restores.
+    n must be congruent to the crossing parity class mod 2 and lie in the
+    dual ball, which the highest potential decides; outside the ball the
+    error carries the potential's negative walk as its certificate.  The
+    coorientation is read off the potential ("eikonal" and "auto") or looked
+    up in the enumeration ("lookup", a cross-check).  Either output is
+    verified outright: Eulerian and of class n.
     """
     n = tuple(int(x) for x in n)
     if len(n) != basis.rank:
@@ -218,33 +310,20 @@ def realize(
         raise NotRealizable(
             "parity", f"class {n} is not congruent to the parity class {parity} mod 2"
         )
-    ball = dual_ball(wmap, basis)
-    position = contains(ball, n)
-    if position == "outside":
-        raise NotRealizable("outside-ball", f"class {n} lies outside the dual ball")
-
+    potential = highest_potential(wmap, basis, n)
+    if potential.position == "outside":
+        raise NotRealizable(
+            "outside-ball", f"class {n} lies outside the dual ball", potential.certificate
+        )
     if method == "lookup":
         return _lookup(wmap, basis, n)
 
-    # boundary targets stabilize slowest; their radius cap is 4x the default
-    doublings = max_doublings + (2 if position == "boundary" else 0)
-    radius = _initial_radius(basis, n)
-    previous: Coorientation | None = None
-    for _ in range(doublings + 1):
-        field = extend_highest(
-            wmap, basis, seed_values(basis, n, radius), radius, target=n
-        )
-        candidate = read_coorientation(field, max(1, radius // 2))
-        if candidate is not None and candidate == previous:
-            if is_eulerian(wmap, candidate) and class_of(wmap, candidate, basis) == n:
-                return RealizationResult(candidate, n, "eikonal")
-        previous = candidate
-        radius *= 2
-    if method == "eikonal":
-        raise ResourceLimit(
-            f"eikonal construction did not stabilize for {n} within the radius cap"
-        )
-    return _lookup(wmap, basis, n)
+    if any(abs(s) != 1 for s in potential.steps):
+        raise InternalError(f"the highest extension of {n} is not eikonal")
+    candidate = Coorientation(potential.steps)
+    if not is_eulerian(wmap, candidate) or class_of(wmap, candidate, basis) != n:
+        raise InternalError(f"the highest extension of {n} does not realize it")
+    return RealizationResult(candidate, n, "eikonal")
 
 
 def _lookup(wmap: WallSystemMap, basis: HomologyBasis, n: Coords) -> RealizationResult:

@@ -59,11 +59,17 @@ class UnstableTruncation(WallNormError):
 
 
 class NotRealizable(WallNormError):
-    """The target class is not the class of any Eulerian coorientation."""
+    """The target class is not the class of any Eulerian coorientation.
 
-    def __init__(self, reason, message):
+    ``certificate`` is the evidence when there is one: for reason
+    "outside-ball", a closed dual walk shorter than its pairing with the
+    target, which violates the norm inequality.
+    """
+
+    def __init__(self, reason, message, certificate=None):
         super().__init__(message)
         self.reason = reason
+        self.certificate = certificate
 
 
 class DegenerateBall(WallNormError):
@@ -72,3 +78,7 @@ class DegenerateBall(WallNormError):
 
 class WrongGenus(WallNormError):
     """The operation supports genus-one maps only."""
+
+
+class InternalError(WallNormError):
+    """An internal invariant failed; the result would be wrong, so none is given."""

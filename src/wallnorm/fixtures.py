@@ -26,7 +26,7 @@ from math import ceil, floor, gcd
 from typing import Sequence
 
 from .homology import HomologyBasis, format_basis_file, set_user_basis
-from .errors import MalformedInput, WallNormError
+from .errors import InternalError, MalformedInput, WallNormError
 from .surface_map import Walk, WallSystemMap, parse_wall_system
 
 
@@ -145,10 +145,12 @@ def torus_geodesic_arrangement(
                     s = (qi * (c1 + m) - pi * (c2 + n)) / det
                     if 0 <= t < 1 and 0 <= s < 1:
                         found.append((t, s))
-            assert len(found) == abs(det), "crossing count mismatch"
+            if len(found) != abs(det):
+                raise InternalError("crossing count mismatch")
             for t, s in found:
                 point = ((bi[0] + t * pi) % 1, (bi[1] + t * qi) % 1)
-                assert point == ((bj[0] + s * pj) % 1, (bj[1] + s * qj) % 1)
+                if point != ((bj[0] + s * pj) % 1, (bj[1] + s * qj) % 1):
+                    raise InternalError("crossing parameters disagree on the point")
                 if point in seen_points:
                     raise MalformedInput(
                         f"triple point at {point}; perturb the base points"

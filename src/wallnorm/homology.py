@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import MalformedInput, NotABasis, TorsionDetected
+from .errors import InternalError, MalformedInput, NotABasis, TorsionDetected
 from .snf import smith_normal_form, unimodular_inverse
 from .surface_map import Crossing, DualGraph, Walk, WallSystemMap, reverse_walk
 
@@ -210,7 +210,8 @@ def _chain_to_walk(dual: DualGraph, parents: dict[int, tuple[int, Crossing]],
             if stack_moves:
                 circuit.append(stack_moves.pop())
     circuit.reverse()
-    assert not any(outgoing.values()), "chain left unused crossings"
+    if any(outgoing.values()):
+        raise InternalError("chain left unused crossings")
     return tuple(circuit)
 
 
@@ -280,11 +281,13 @@ def _check_basis(basis: HomologyBasis, bnd: BoundaryMatrices) -> None:
     for i, w in enumerate(basis.cocycles):
         for v in range(basis.wmap.vertex_count):
             pairing = sum(w[e] * bnd.d2[e][v] for e in range(basis.wmap.edge_count))
-            assert pairing == 0, f"cocycle {i} does not vanish on 2-cell {v}"
+            if pairing != 0:
+                raise InternalError(f"cocycle {i} does not vanish on 2-cell {v}")
     for i in range(basis.rank):
         for j in range(basis.rank):
             value = _walk_weight(basis.cocycles[i], basis.cycles[j])
-            assert value == (1 if i == j else 0), "basis pairing is not the identity"
+            if value != (1 if i == j else 0):
+                raise InternalError("basis pairing is not the identity")
 
 
 def _walk_weight(weights: Sequence[int], walk: Walk) -> int:
@@ -300,7 +303,8 @@ def class_of_walk(walk: Sequence[Crossing], basis: HomologyBasis) -> Coords:
 
 def gamma_parity(wmap: WallSystemMap, basis: HomologyBasis) -> Coords:
     """The mod-2 crossing class of the wall system against the basis cycles."""
-    assert basis.wmap == wmap
+    if basis.wmap != wmap:
+        raise InternalError("the basis belongs to a different map")
     return tuple(len(b) % 2 for b in basis.cycles)
 
 

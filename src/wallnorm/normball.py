@@ -3,22 +3,25 @@
 The norm of an integer class is the maximum of its pairing with the
 classes of all Eulerian coorientations; the dual unit ball is the convex
 hull of those classes.  Everything is decided exactly: extreme points by
-rational in-hull feasibility, membership and interior by rational linear
-programming, areas by the shoelace formula.
+rational in-hull feasibility, the position of a lattice point (outside,
+boundary, interior) by the highest potential of ``eikonal``, an integer
+shortest-path computation on the dual graph, and areas by the shoelace
+formula.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Sequence
 
 from .coorient import enumerate_eulerian
+from .eikonal import highest_potential
 from .errors import DegenerateBall
 from .homology import Coords, HomologyBasis
-from .simplex import affine_dimension, hull_position, in_hull
+from .simplex import affine_dimension, in_hull
 from .surface_map import WallSystemMap
 
 
@@ -37,7 +40,9 @@ class DualBall:
     ``points`` is the deduplicated class set, ``extreme`` its extreme points,
     ``dim`` the affine dimension (always the full rank for valid input).
     For genus one, ``polygon`` walks the extreme points counterclockwise and
-    ``g1_area`` is the exact enclosed area.
+    ``g1_area`` is the exact enclosed area.  ``wmap`` and ``basis`` are the
+    map and basis the ball was built from; ``contains`` decides positions
+    on them.
     """
 
     points: tuple[Coords, ...]
@@ -45,6 +50,8 @@ class DualBall:
     dim: int
     polygon: tuple[Coords, ...] | None = None
     g1_area: Fraction | None = None
+    wmap: WallSystemMap | None = field(default=None, compare=False, repr=False)
+    basis: HomologyBasis | None = field(default=None, compare=False, repr=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -129,7 +136,7 @@ def dual_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
             for i in range(len(polygon))
         )
         area = abs(Fraction(twice, 2))
-    return DualBall(points, extreme, dim, polygon, area)
+    return DualBall(points, extreme, dim, polygon, area, wmap, basis)
 
 
 def contains(ball: DualBall, p: Sequence[int]) -> str:
@@ -139,4 +146,6 @@ def contains(ball: DualBall, p: Sequence[int]) -> str:
         raise DegenerateBall(
             f"dual ball has affine dimension {ball.dim} < {ball.ambient_dim}"
         )
-    return hull_position(ball.points, p)
+    if ball.wmap is None or ball.basis is None:
+        raise ValueError("the ball carries no map and basis; build it with dual_ball")
+    return highest_potential(ball.wmap, ball.basis, p).position

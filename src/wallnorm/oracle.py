@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BoxExceeded, UnstableTruncation
+from .errors import BoxExceeded, InternalError, UnstableTruncation
 from .homology import Coords, HomologyBasis
 from .surface_map import Walk, WallSystemMap
 from . import normball
@@ -303,7 +303,8 @@ def _certificate(
     for c in sorted(components):
         _, f0 = single[c]
         walk = _bfs_walk(wmap, basis, c, trunc, f0)
-        assert walk is not None, "certificate component lost its witness"
+        if walk is None:
+            raise InternalError("certificate component lost its witness")
         cycles.append((walk, c, len(walk)))
         total += len(walk)
     return MultiCurveCertificate(tuple(cycles), total, a)

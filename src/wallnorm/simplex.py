@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import InternalError
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -87,8 +89,8 @@ class _Tableau:
                     self.pivot(i, col)
         keep = [i for i in range(self.m) if self.basis[i] < self.n]
         for i in range(self.m):
-            if self.basis[i] >= self.n:
-                assert self.rows[i][-1] == 0, "artificial basic at nonzero after phase one"
+            if self.basis[i] >= self.n and self.rows[i][-1] != 0:
+                raise InternalError("artificial basic at nonzero after phase one")
         self.rows = [self.rows[i] for i in keep]
         self.basis = [self.basis[i] for i in keep]
         self.m = len(keep)

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import InternalError
+
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -168,5 +170,6 @@ def unimodular_inverse(matrix: Sequence[Sequence[int]]) -> list[list[int]] | Non
                 factor = aug[i][col]
                 aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
     out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    assert all(x.denominator == 1 for row in out for x in row)
+    if any(x.denominator != 1 for row in out for x in row):
+        raise InternalError("inverse of a unimodular matrix is not integral")
     return [[int(x) for x in row] for row in out]

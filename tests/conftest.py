@@ -1,8 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
-from wallnorm import fixtures, homology_basis
+from wallnorm import EikonalField, fixtures, highest_potential, homology_basis
 from wallnorm.fixtures import grid_basis, grid_map
 
 
@@ -72,3 +73,14 @@ def random_closed_walk(wmap, rng, max_steps=12):
         here = other
     crossings.extend(dual.shortest_path(here, start))
     return tuple(crossings)
+
+
+def potential_field(wmap, basis, n, radius):
+    """The highest potential lifted to the cover box: f(F, h) = n.h + g(F)."""
+    g = highest_potential(wmap, basis, n).values
+    values = {
+        (face, h): sum(a * b for a, b in zip(n, h)) + g[face]
+        for face in range(len(g))
+        for h in product(range(-radius, radius + 1), repeat=basis.rank)
+    }
+    return EikonalField(wmap, basis, tuple(n), radius, 0, values)

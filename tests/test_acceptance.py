@@ -39,7 +39,7 @@ from wallnorm.fixtures import (
     random_wall_system,
 )
 
-from conftest import random_closed_walk
+from conftest import potential_field, random_closed_walk
 
 
 @contextmanager
@@ -121,7 +121,7 @@ def test_criterion_4_lattice_realization():
                 result = realize(wmap, basis, point)
                 assert is_eulerian(wmap, result.coorientation)
                 assert class_of(wmap, result.coorientation, basis) == point
-                assert result.method in ("eikonal", "enumeration-fallback")
+                assert result.method == "eikonal"
 
 
 def test_criterion_5_birkhoff_classification():
@@ -264,3 +264,9 @@ def test_criterion_8_eikonal_field_checks():
         )
         assert field.eikonal_violations(radius) == []
         assert field.equivariance_violations(radius) == []
+        # the exact potential realize reads its signs from: same checks,
+        # and the same values as the truncated field
+        exact = potential_field(g11, b11, (1, 1), radius)
+        assert exact.eikonal_violations(radius) == []
+        assert exact.equivariance_violations(radius) == []
+        assert exact.values.items() <= field.values.items()

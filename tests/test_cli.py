@@ -139,6 +139,17 @@ def test_realize_writes_coorientation(workdir):
     assert is_eulerian(wmap, coor)
 
 
+def test_classes_leaves_the_config_unchanged(workdir):
+    from wallnorm.cli import RunConfig, cmd_classes
+
+    options = {"classes": False, "max_enum": None}
+    config = RunConfig("classes", str(workdir / "G11.wall"), None, options)
+    out = io.StringIO()
+    assert cmd_classes(config, out) == 0
+    assert "count=" in out.getvalue()
+    assert config.options == {"classes": False, "max_enum": None}
+
+
 def test_realize_method_flag(workdir):
     code, text = run_cli(
         ["realize", str(workdir / "G22.wall"), "0", "0",

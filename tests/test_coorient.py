@@ -21,6 +21,7 @@ from wallnorm import (
     iter_eulerian,
     vertex_kind,
 )
+from wallnorm import coorient as coorient_module
 from wallnorm.fixtures import grid_basis, grid_map
 from wallnorm.surface_map import reverse_walk
 
@@ -99,6 +100,18 @@ def test_resource_limit():
     wmap = grid_map(2, 2)
     with pytest.raises(ResourceLimit):
         list(iter_eulerian(wmap, limit=5))
+
+
+def test_resource_limit_cold_and_warm():
+    wmap = grid_map(2, 3)
+    basis = homology_basis(wmap)
+    coorient_module._eulerian_cache.pop(wmap.digest, None)
+    with pytest.raises(ResourceLimit):
+        enumerate_eulerian(wmap, basis, limit=5)
+    assert enumerate_eulerian(wmap, basis).count == 44  # now cached
+    with pytest.raises(ResourceLimit):
+        enumerate_eulerian(wmap, basis, limit=5)
+    assert enumerate_eulerian(wmap, basis, limit=44).count == 44
 
 
 def test_brunella(g11, g22, genus2, one_curve, random_maps):

@@ -16,6 +16,8 @@ from wallnorm import (
 )
 from wallnorm.eikonal import read_coorientation
 
+from conftest import potential_field
+
 
 def test_seed_values_basics(g11, b11):
     zero = seed_values(b11, (0, 0), 3)
@@ -56,6 +58,25 @@ def test_eikonal_field_checks_g22_interior_box(g22, b22):
     assert field.equivariance_violations(safe) == []
 
 
+def test_potential_field_is_eikonal_and_equivariant(g22, b22, genus2, genus2_basis):
+    for wmap, basis, n, radius in (
+        (g22, b22, (0, 0), 3),
+        (g22, b22, (2, 0), 3),
+        (genus2, genus2_basis, sorted(eulerian_class_counter(genus2, genus2_basis))[0], 1),
+    ):
+        field = potential_field(wmap, basis, n, radius)
+        assert field.eikonal_violations(radius) == []
+        assert field.equivariance_violations(radius) == []
+
+
+def test_potential_equals_cover_field_inside_the_box(g22, b22):
+    radius = 6
+    for n in ((0, 0), (2, 0), (1, 1), (-2, 2)):
+        cover = extend_highest(g22, b22, seed_values(b22, n, radius), radius, target=n)
+        lifted = potential_field(g22, b22, n, radius // 2)
+        assert lifted.values.items() <= cover.values.items()
+
+
 def test_read_off_consistency(g22, b22):
     radius = 6
     field = extend_highest(g22, b22, seed_values(b22, (2, 0), radius), radius, target=(2, 0))
@@ -74,7 +95,7 @@ def _all_coorientations(wmap):
 
 def test_realize_g11(g11, b11):
     result = realize(g11, b11, (1, 1))
-    assert result.method in ("eikonal", "enumeration-fallback")
+    assert result.method == "eikonal"
     assert is_eulerian(g11, result.coorientation)
     assert class_of(g11, result.coorientation, b11) == (1, 1)
     # oracle: the result must appear in the exhaustive enumeration

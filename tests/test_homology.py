@@ -1,6 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import wallnorm
 
 from wallnorm import (
     NotABasis,
@@ -179,3 +186,28 @@ def test_concat_closed_walks_trivia(g22):
 
     assert concat_closed_walks(g22.dual_graph) == ()
     assert concat_closed_walks(g22.dual_graph, (), ()) == ()
+
+
+def test_invariant_checks_survive_optimize():
+    """A swapped cocycle pair fails the basis check even under python -O."""
+    script = textwrap.dedent("""
+        from wallnorm import InternalError
+        from wallnorm.fixtures import grid_basis, grid_map
+        from wallnorm.homology import HomologyBasis, _check_basis, boundary_matrices
+
+        assert False, "asserts must be stripped under -O"
+        wmap = grid_map(1, 1)
+        good = grid_basis(wmap, 1, 1)
+        bad = HomologyBasis(wmap, good.cycles, good.cocycles[::-1], label="user")
+        try:
+            _check_basis(bad, boundary_matrices(wmap))
+        except InternalError as exc:
+            print("raised:", exc)
+    """)
+    src = str(Path(wallnorm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "raised: basis pairing is not the identity\n"
