@@ -12,7 +12,8 @@ The package computes, with integer and rational arithmetic only:
 * the highest eikonal extension of a target class as an exact
   shortest-path potential on the dual graph, which decides the class's
   position against the dual ball (with a certificate walk when outside)
-  and realizes it as an Eulerian coorientation,
+  and whether it is a vertex, and realizes it as an Eulerian
+  coorientation,
 * an independent brute-force oracle for the norm (shortest cycles in the
   truncated maximal abelian cover plus a decomposition dynamic program),
 * classification of negative Birkhoff cross sections as interior lattice

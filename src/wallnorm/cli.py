@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     with_map(sub.add_parser("info", help="V, E, F, genus, curves, parity"))
 
     p = with_map(sub.add_parser("coorientations", help="enumerate Eulerian coorientations"))
-    p.add_argument("--count", action="store_true", help="print the count only (default)")
     p.add_argument("--classes", action="store_true", help="also print the class multiset")
     p.add_argument("--list", dest="list_dir", help="write one coorientation file per item")
     p.add_argument("--max-enum", type=int, help="enumeration cap")
@@ -300,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_map(sub.add_parser("realize", help="realize a class as a coorientation"))
     p.add_argument("coords", type=int, nargs="+")
     p.add_argument("--out", help="write the coorientation file here")
-    p.add_argument("--method", choices=("auto", "eikonal", "lookup"), default="auto")
+    p.add_argument("--method", choices=("auto", "lookup"), default="auto")
 
     p = with_map(sub.add_parser("birkhoff", help="classify Birkhoff cross sections"))
     p.add_argument("--json-report", dest="json_report", help="also write a JSON report")

@@ -18,6 +18,12 @@ and reads the position of n against the dual ball off it:
   length equals its pairing with n, so n is on the boundary;
 * otherwise n is interior.
 
+The classes of the tight closed walks span the ball's normal cone at n: a
+tight walk c has len(c) = n.[c] <= x([c]) <= len(c), and conversely a
+shortest multi-curve of a normal direction splits into tight walks.  Their
+rank, ``normal_rank``, is therefore full exactly when n is a vertex of the
+ball, which is how ``normball.dual_ball`` finds its extreme points.
+
 When n is inside the ball and congruent to the crossing parity class,
 f is eikonal, changing by exactly one across every wall, and the change
 n.w_e + g(left) - g(right) descends to a coorientation of the wall system:
@@ -33,11 +39,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import Iterator, Sequence
 
 from .coorient import Coorientation, class_of, is_eulerian, iter_eulerian
 from .errors import InternalError, NotRealizable
 from .homology import Coords, HomologyBasis, gamma_parity
+from .simplex import affine_dimension
 from .surface_map import Crossing, Walk, WallSystemMap
 
 State = tuple[int, Coords]
@@ -65,10 +73,6 @@ class EikonalField:
     radius: int
     base_face: int
     values: dict[State, int]
-
-    def in_box(self, state: State, radius: int | None = None) -> bool:
-        r = self.radius if radius is None else radius
-        return all(abs(x) <= r for x in state[1])
 
     def lifted_pairs(self, edge: int, radius: int) -> Iterator[tuple[State, State]]:
         """All (right lift, left lift) pairs across a wall inside the radius."""
@@ -137,18 +141,14 @@ def extend_highest(
     for h, v in seed.items():
         if all(abs(x) <= radius for x in h):
             heapq.heappush(heap, (v, (base_face, h)))
-    moves = []
-    for e, (right, left) in enumerate(wmap.dual_graph.ends):
-        w = basis.edge_weights[e]
-        moves.append((right, left, w))
-        moves.append((left, right, tuple(-x for x in w)))
+    moves = basis.moves
     while heap:
         value, state = heapq.heappop(heap)
         if state in values:
             continue
         values[state] = value
         face, h = state
-        for f_from, f_to, delta in moves:
+        for f_from, f_to, delta, _ in moves:
             if f_from != face:
                 continue
             h_new = tuple(a + b for a, b in zip(h, delta))
@@ -192,15 +192,19 @@ class HighestPotential:
 
     ``position`` is 'outside', 'boundary' or 'interior'.  Outside the ball,
     ``certificate`` is a closed dual walk whose length is less than its
-    pairing with the target and ``values``/``steps`` are None.  Otherwise
-    ``values`` holds g per face (g(0) = 0) and ``steps`` the change of the
-    extension across each edge, right to left.
+    pairing with the target and ``values``/``steps``/``normal_rank`` are
+    None.  Otherwise ``values`` holds g per face (g(0) = 0), ``steps`` the
+    change of the extension across each edge, right to left, and
+    ``normal_rank`` the rank of the classes of tight closed dual walks: the
+    dimension of the ball's normal cone at n, so 0 inside the ball and the
+    full rank exactly at a vertex.
     """
 
     position: str
     values: tuple[int, ...] | None = None
     steps: tuple[int, ...] | None = None
     certificate: Walk | None = None
+    normal_rank: int | None = None
 
 
 def highest_potential(
@@ -210,13 +214,11 @@ def highest_potential(
     n = tuple(int(x) for x in n)
     if len(n) != basis.rank:
         raise ValueError(f"target class must have {basis.rank} coordinates")
-    ends = wmap.dual_graph.ends
-    pairing = [sum(a * b for a, b in zip(n, w)) for w in basis.edge_weights]
-    # arcs (from face, to face, cost, crossing): right -> left is direction +1
-    arcs = []
-    for e, (right, left) in enumerate(ends):
-        arcs.append((right, left, 1 - pairing[e], (e, 1)))
-        arcs.append((left, right, 1 + pairing[e], (e, -1)))
+    # arcs (from face, to face, cost 1 - n.delta, crossing)
+    arcs = [
+        (u, v, 1 - sum(map(mul, n, delta)), crossing)
+        for u, v, delta, crossing in basis.moves
+    ]
     faces = wmap.dual_graph.node_count
     g: list[int | None] = [None] * faces
     g[0] = 0
@@ -234,10 +236,13 @@ def highest_potential(
     else:
         return HighestPotential("outside", certificate=_parent_cycle(parent, changed, faces))
 
-    tight = [(u, v) for u, v, cost, _ in arcs if g[u] + cost == g[v]]
-    position = "boundary" if _has_cycle(faces, tight) else "interior"
-    steps = tuple(pairing[e] + g[left] - g[right] for e, (right, left) in enumerate(ends))
-    return HighestPotential(position, tuple(g), steps)
+    # the step across an edge is one minus the reduced cost of its right -> left arc
+    reduced = [g[u] + cost - g[v] for u, v, cost, _ in arcs]
+    steps = tuple(1 - r for r, (_, _, _, (_, d)) in zip(reduced, arcs) if d > 0)
+    tight = [move[:3] for move, r in zip(basis.moves, reduced) if r == 0]
+    rank = _cycle_rank(faces, tight, basis.rank)
+    position = "boundary" if rank else "interior"
+    return HighestPotential(position, tuple(g), steps, normal_rank=rank)
 
 
 def _parent_cycle(parent: list, node: int, faces: int) -> Walk:
@@ -256,23 +261,41 @@ def _parent_cycle(parent: list, node: int, faces: int) -> Walk:
             return tuple(reversed(walk))
 
 
-def _has_cycle(faces: int, arcs: list[tuple[int, int]]) -> bool:
-    """Whether the directed graph on the faces has a cycle (Kahn's algorithm)."""
-    indegree = [0] * faces
-    out: list[list[int]] = [[] for _ in range(faces)]
-    for u, v in arcs:
-        out[u].append(v)
-        indegree[v] += 1
-    ready = [f for f in range(faces) if indegree[f] == 0]
-    removed = 0
-    while ready:
-        u = ready.pop()
-        removed += 1
-        for v in out[u]:
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                ready.append(v)
-    return removed < faces
+def _cycle_rank(faces: int, arcs: list[tuple[int, int, Coords]], rank: int) -> int:
+    """Rank of the classes of the closed walks along the arcs (from, to, class delta).
+
+    Such walks stay inside the strongly connected components of the arcs.
+    Each component gets a spanning-tree potential phi, with phi(v) =
+    phi(u) + delta along tree arcs; then delta + phi(u) - phi(v) is the
+    class of an arc's fundamental cycle, and these classes span the classes
+    of all closed walks along the arcs.
+    """
+    out: list[list[tuple[int, Coords]]] = [[] for _ in range(faces)]
+    reach = [1 << f for f in range(faces)]  # bit w of reach[f]: w is reachable from f
+    for u, v, delta in arcs:
+        out[u].append((v, delta))
+        reach[u] |= 1 << v
+    for k in range(faces):  # Warshall's transitive closure
+        for f in range(faces):
+            if reach[f] >> k & 1:
+                reach[f] |= reach[k]
+    phi: dict[int, Coords] = {}
+    classes = set()
+    for root in range(faces):
+        if root in phi:
+            continue
+        phi[root] = (0,) * rank
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v, delta in out[u]:
+                if reach[v] >> root & 1:  # v is in the component of the root
+                    if v not in phi:
+                        phi[v] = tuple(a + b for a, b in zip(phi[u], delta))
+                        stack.append(v)
+                    else:
+                        classes.add(tuple(d + a - b for d, a, b in zip(delta, phi[u], phi[v])))
+    return affine_dimension([(0,) * rank, *classes])
 
 
 @dataclass(frozen=True)
@@ -295,14 +318,14 @@ def realize(
     n must be congruent to the crossing parity class mod 2 and lie in the
     dual ball, which the highest potential decides; outside the ball the
     error carries the potential's negative walk as its certificate.  The
-    coorientation is read off the potential ("eikonal" and "auto") or looked
-    up in the enumeration ("lookup", a cross-check).  Either output is
-    verified outright: Eulerian and of class n.
+    coorientation is read off the potential ("auto", reported as method
+    "eikonal") or looked up in the enumeration ("lookup", a cross-check).
+    Either output is verified outright: Eulerian and of class n.
     """
     n = tuple(int(x) for x in n)
     if len(n) != basis.rank:
         raise ValueError(f"target class must have {basis.rank} coordinates")
-    if method not in ("auto", "eikonal", "lookup"):
+    if method not in ("auto", "lookup"):
         raise ValueError(f"unknown method {method!r}")
 
     parity = gamma_parity(wmap, basis)

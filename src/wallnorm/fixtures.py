@@ -27,6 +27,7 @@ from typing import Sequence
 
 from .homology import HomologyBasis, format_basis_file, set_user_basis
 from .errors import InternalError, MalformedInput, WallNormError
+from .normball import _ccw_compare
 from .surface_map import Walk, WallSystemMap, parse_wall_system
 
 
@@ -85,18 +86,6 @@ def grid_basis(wmap: WallSystemMap, m: int, n: int) -> HomologyBasis:
 
 def grid_basis_text(m: int, n: int) -> str:
     return format_basis_file(list(grid_basis_walks(m, n)))
-
-
-def _angle_order(u: tuple[int, int], v: tuple[int, int]) -> int:
-    """Counterclockwise-from-positive-x-axis comparison of direction vectors."""
-
-    def half(w: tuple[int, int]) -> int:
-        return 0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
-
-    if half(u) != half(v):
-        return -1 if half(u) < half(v) else 1
-    cross = u[0] * v[1] - u[1] * v[0]
-    return -1 if cross > 0 else (1 if cross < 0 else 0)
 
 
 def torus_geodesic_arrangement(
@@ -176,7 +165,7 @@ def torus_geodesic_arrangement(
             p, q = specs[g][0]
             ends.append(((p, q), g, +1))
             ends.append(((-p, -q), g, -1))
-        ends.sort(key=cmp_to_key(lambda a, b: _angle_order(a[0], b[0])))
+        ends.sort(key=cmp_to_key(lambda a, b: _ccw_compare(a[0], b[0])))
         rotation = []
         for k, (_, g, sign) in enumerate(ends):
             dart = 4 * vid + k

@@ -74,6 +74,20 @@ class HomologyBasis:
         )
 
     @cached_property
+    def moves(self) -> tuple[tuple[int, int, Coords, Crossing], ...]:
+        """Directed wall crossings as cover moves: (from face, to face, class delta, crossing).
+
+        Per edge, right -> left (delta = the edge weights) comes before
+        left -> right (the negated weights).
+        """
+        out = []
+        for e, (right, left) in enumerate(self.wmap.dual_graph.ends):
+            w = self.edge_weights[e]
+            out.append((right, left, w, (e, +1)))
+            out.append((left, right, tuple(-x for x in w), (e, -1)))
+        return tuple(out)
+
+    @cached_property
     def signature(self) -> str:
         import hashlib
 

@@ -2,11 +2,11 @@
 
 The norm of an integer class is the maximum of its pairing with the
 classes of all Eulerian coorientations; the dual unit ball is the convex
-hull of those classes.  Everything is decided exactly: extreme points by
-rational in-hull feasibility, the position of a lattice point (outside,
-boundary, interior) by the highest potential of ``eikonal``, an integer
-shortest-path computation on the dual graph, and areas by the shoelace
-formula.
+hull of those classes.  Everything is decided exactly by the highest
+potential of ``eikonal``, an integer shortest-path computation on the
+dual graph: the position of a lattice point (outside, boundary, interior),
+and the extreme points, the class points whose tight closed dual walks
+span full rank.  Areas come from the shoelace formula.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .coorient import enumerate_eulerian
 from .eikonal import highest_potential
 from .errors import DegenerateBall
 from .homology import Coords, HomologyBasis
-from .simplex import affine_dimension, in_hull
+from .simplex import affine_dimension
 from .surface_map import WallSystemMap
 
 
@@ -118,12 +118,12 @@ def _ccw_compare(p: Coords, q: Coords) -> int:
 def dual_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
     """Construct the dual unit ball with exact extreme points.
 
-    A point is extreme iff it is not a convex combination of the other
-    class points, decided by rational feasibility.
+    A class point is extreme iff the ball's normal cone there is
+    full-dimensional, i.e. its highest potential has full normal rank.
     """
     points = _class_points(wmap, basis)
     extreme = tuple(
-        p for p in points if not in_hull([q for q in points if q != p], p)
+        p for p in points if highest_potential(wmap, basis, p).normal_rank == basis.rank
     )
     dim = affine_dimension(points)
     polygon = None

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,16 +49,6 @@ class VerifyReport:
         return not self.discrepancies
 
 
-def _moves(wmap: WallSystemMap, basis: HomologyBasis):
-    """Directed cover transitions: (from_face, to_face, class delta, crossing)."""
-    out = []
-    for e, (right, left) in enumerate(wmap.dual_graph.ends):
-        w = basis.edge_weights[e]
-        out.append((right, left, w, (e, +1)))
-        out.append((left, right, tuple(-x for x in w), (e, -1)))
-    return out
-
-
 def _distances(wmap: WallSystemMap, basis: HomologyBasis, h: int, base_face: int) -> np.ndarray:
     """BFS distances from (base_face, 0) over the box |h_i| <= h (flat layout)."""
     rank = basis.rank
@@ -72,7 +62,7 @@ def _distances(wmap: WallSystemMap, basis: HomologyBasis, h: int, base_face: int
     frontier = np.array([start], dtype=np.int64)
 
     moves = []
-    for f_from, f_to, delta, _ in _moves(wmap, basis):
+    for f_from, f_to, delta, _ in basis.moves:
         flat = (f_to - f_from) * box + sum(d * s for d, s in zip(delta, strides))
         moves.append((f_from, delta, flat))
 
@@ -165,7 +155,7 @@ def _bfs_walk(
 ) -> Walk | None:
     """Shortest closed walk of the target class based at base_face (parents BFS)."""
     rank = basis.rank
-    moves = _moves(wmap, basis)
+    moves = basis.moves
     start = (base_face, (0,) * rank)
     goal = (base_face, target)
     if start == goal:
@@ -249,30 +239,42 @@ def min_multicurve(
     trunc = h if h is not None else default_truncation(basis, radius)
     if trunc < radius:
         raise ValueError("truncation radius is smaller than the class box")
-    cap = max_truncation if max_truncation is not None else 8 * trunc
+    trunc, single, m, choice = _stable_tables(
+        wmap, basis, radius, trunc, max_truncation, [a],
+        lambda _, t: f"no multi-curve of class {a} inside the box of radius {t}",
+        lambda _, t: f"value for {a} still improving at truncation {t}",
+    )
+    return int(m[a]), _certificate(wmap, basis, a, trunc, single, choice)
 
+
+def _stable_tables(
+    wmap: WallSystemMap, basis: HomologyBasis, radius: int, trunc: int,
+    max_truncation: int | None, watched: list[Coords],
+    empty: Callable[..., str], improving: Callable[..., str],
+):
+    """The tables at the first truncation where growing it by one changes nothing.
+
+    The truncation doubles while some watched class is unrepresented or
+    still improving; beyond the cap (default eight times the start),
+    BoxExceeded or UnstableTruncation is raised with the message ``empty``
+    or ``improving`` makes of the offending classes and the truncation.
+    Returns (truncation, single-cycle table, minima, decomposition choices).
+    """
+    cap = max_truncation if max_truncation is not None else 8 * trunc
     while True:
         single = _single_cycle_table(wmap, basis, radius, trunc)
         m, choice = _dp_tables(single, radius)
         single1 = _single_cycle_table(wmap, basis, radius, trunc + 1)
         m1, _ = _dp_tables(single1, radius)
-        value = m[a]
-        if math.isinf(value) or math.isinf(m1[a]):
-            if 2 * trunc > cap:
-                raise BoxExceeded(
-                    f"no multi-curve of class {a} inside the box of radius {trunc}"
-                )
-            trunc *= 2
-            continue
-        if value != m1[a]:
-            if 2 * trunc > cap:
-                raise UnstableTruncation(
-                    f"value for {a} still improving at truncation {trunc + 1}"
-                )
-            trunc *= 2
-            continue
-        certificate = _certificate(wmap, basis, a, trunc, single, choice)
-        return int(value), certificate
+        unreachable = [c for c in watched if math.isinf(m[c]) or math.isinf(m1[c])]
+        unstable = [c for c in watched if m[c] != m1[c]]
+        if not unreachable and not unstable:
+            return trunc, single, m, choice
+        if 2 * trunc > cap:
+            if unreachable:
+                raise BoxExceeded(empty(unreachable, trunc))
+            raise UnstableTruncation(improving(unstable, trunc + 1))
+        trunc *= 2
 
 
 def _certificate(
@@ -324,31 +326,11 @@ def verify_min_equals_max(
     """
     radius = int(box_radius)
     trunc = h if h is not None else default_truncation(basis, radius)
-    cap = max_truncation if max_truncation is not None else 8 * trunc
-
-    while True:
-        single = _single_cycle_table(wmap, basis, radius, trunc)
-        m, _ = _dp_tables(single, radius)
-        single1 = _single_cycle_table(wmap, basis, radius, trunc + 1)
-        m1, _ = _dp_tables(single1, radius)
-        unreachable = [c for c in m if math.isinf(m[c]) or math.isinf(m1[c])]
-        if unreachable:
-            if 2 * trunc > cap:
-                raise BoxExceeded(
-                    f"classes {unreachable[:3]}... not represented inside radius {trunc}"
-                )
-            trunc *= 2
-            continue
-        unstable = [c for c in m if m[c] != m1[c]]
-        if unstable:
-            if 2 * trunc > cap:
-                raise UnstableTruncation(
-                    f"values for {unstable[:3]}... still improving at {trunc + 1}"
-                )
-            trunc *= 2
-            continue
-        break
-
+    trunc, _, m, _ = _stable_tables(
+        wmap, basis, radius, trunc, max_truncation, _box_classes(basis.rank, radius),
+        lambda cs, t: f"classes {cs[:3]}... not represented inside radius {t}",
+        lambda cs, t: f"values for {cs[:3]}... still improving at {t}",
+    )
     discrepancies = []
     for c in sorted(m):
         expected = normball.norm(wmap, basis, c).value

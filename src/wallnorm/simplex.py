@@ -1,8 +1,13 @@
-"""Exact rational linear programming for convex-hull queries.
+"""Exact linear algebra for point sets.
 
-A textbook two-phase tableau simplex with Bland's rule over Fractions.
-Problem sizes here are tiny (a handful of equality constraints, dozens of
-variables), so termination and exactness matter and asymptotics do not.
+``affine_dimension`` is the dimension of an affine hull, by integer
+elimination; the dual ball and the normal rank of the highest potential
+use it.  ``solve_lp``, a textbook two-phase tableau simplex with Bland's
+rule over Fractions, and ``hull_position``, which places a point against
+a convex hull with it, are the independent reference that the tests hold
+the highest potential to; no report calls them.  Problem sizes are tiny
+(a handful of equality constraints, dozens of variables), so termination
+and exactness matter and asymptotics do not.
 """
 
 from __future__ import annotations
@@ -125,21 +130,6 @@ def solve_lp(
     return OPTIMAL, x, value
 
 
-def in_hull(points: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
-    """Exact test for target in conv(points)."""
-    if not points:
-        return False
-    dim = len(target)
-    n = len(points)
-    a = [[Fraction(1)] * n]
-    b = [Fraction(1)]
-    for k in range(dim):
-        a.append([Fraction(p[k]) for p in points])
-        b.append(Fraction(target[k]))
-    status, _, _ = solve_lp(a, b, [Fraction(0)] * n)
-    return status == OPTIMAL
-
-
 def hull_position(points: Sequence[Sequence[int]], target: Sequence[int]) -> str:
     """Classify target against conv(points): 'outside', 'boundary', 'interior'.
 
@@ -166,26 +156,24 @@ def hull_position(points: Sequence[Sequence[int]], target: Sequence[int]) -> str
 
 
 def affine_dimension(points: Sequence[Sequence[int]]) -> int:
-    """Dimension of the affine hull of the points (exact rank computation)."""
+    """Dimension of the affine hull of the points (exact rank computation).
+
+    Fraction-free (Bareiss) elimination over the integers: each update
+    divides by the previous pivot, and that division is always exact.
+    """
     if not points:
         return -1
     base = points[0]
-    rows = [[Fraction(p[k] - base[k]) for k in range(len(base))] for p in points[1:]]
-    rank = 0
-    col = 0
-    width = len(base)
-    while rank < len(rows) and col < width:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+    rows = [[p[k] - base[k] for k in range(len(base))] for p in points[1:]]
+    rank, previous = 0, 1
+    for col in range(len(base)):
+        pivot = next((row for row in rows if row[col]), None)
         if pivot is None:
-            col += 1
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
-        col += 1
+        rows = [
+            [(pivot[col] * x - row[col] * y) // previous for x, y in zip(row, pivot)]
+            for row in rows if row is not pivot
+        ]
+        previous = pivot[col]
     return rank

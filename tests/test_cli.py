@@ -159,6 +159,40 @@ def test_realize_method_flag(workdir):
     assert "method=enumeration-fallback" in text
 
 
+def test_dropped_options_are_usage_errors(workdir):
+    for args in (
+        ["coorientations", str(workdir / "G22.wall"), "--count"],
+        ["realize", str(workdir / "G22.wall"), "0", "0", "--method", "eikonal"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(args, out=io.StringIO())
+        assert info.value.code == 2
+
+
+def test_reports_never_solve_an_lp(workdir, monkeypatch, capsys):
+    from wallnorm import dual_ball, homology_basis, simplex
+    from wallnorm.fixtures import genus2_example
+
+    genus2 = genus2_example()
+    (workdir / "genus2.wall").write_text(genus2.canonical_text)
+    vertex = dual_ball(genus2, homology_basis(genus2)).extreme[0]
+
+    def refuse(*args):
+        raise AssertionError("the linear program ran on a production path")
+
+    monkeypatch.setattr(simplex, "solve_lp", refuse)
+    g22 = ["--basis", str(workdir / "G22.basis")]
+    for wall, target, extra in (("G22.wall", (0, 0), g22), ("genus2.wall", vertex, [])):
+        path = str(workdir / wall)
+        for args in (["ball", path], ["ball", path, "--all-classes"], ["birkhoff", path],
+                     ["realize", path, *map(str, target)]):
+            assert run_cli(args + extra)[0] == 0, args
+    assert run_cli(["svg", str(workdir / "G22.wall"), *g22])[0] == 0
+    # genus two has no picture, but the classification under it still runs
+    assert run_cli(["svg", str(workdir / "genus2.wall")])[0] == 1
+    assert "WrongGenus" in capsys.readouterr().err
+
+
 def test_svg_output(workdir):
     out_file = workdir / "ball.svg"
     code, _ = run_cli(

@@ -152,9 +152,9 @@ def test_realize_genus2(genus2, genus2_basis):
 
 
 def test_realize_forced_eikonal_method(g22, b22):
-    result = realize(g22, b22, (0, 0), method="eikonal")
-    assert result.method == "eikonal"
-    assert class_of(g22, result.coorientation, b22) == (0, 0)
+    # "eikonal" names the report of the default path, not a method to choose
+    with pytest.raises(ValueError):
+        realize(g22, b22, (0, 0), method="eikonal")
 
 
 def test_realize_rejects_unknown_method(g22, b22):

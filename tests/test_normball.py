@@ -18,7 +18,7 @@ from wallnorm import (
 from wallnorm.errors import DegenerateBall
 from wallnorm.fixtures import grid_basis, grid_map
 from wallnorm.normball import DualBall
-from wallnorm.simplex import in_hull
+from wallnorm.simplex import hull_position
 
 
 def test_norm_g22_grid_formula(g22, b22):
@@ -76,7 +76,7 @@ def test_dual_ball_g22(g22, b22):
             brute_classes.add(class_of(g22, coor, b22))
     extreme_by_hand = {
         p for p in brute_classes
-        if not in_hull([q for q in brute_classes if q != p], p)
+        if hull_position([q for q in brute_classes if q != p], p) == "outside"
     }
     ball = dual_ball(g22, b22)
     assert set(ball.points) == brute_classes
@@ -102,7 +102,7 @@ def test_ball_symmetric_and_convex_structure(g22, b22, genus2, genus2_basis):
         assert ball.dim == basis.rank
         for p in ball.points:
             if p not in ball.extreme:
-                assert in_hull(ball.extreme, p)
+                assert hull_position(ball.extreme, p) != "outside"
 
 
 def test_contains_g22(g22, b22):

@@ -1,9 +1,9 @@
 """The highest potential against independent references.
 
-Ball positions are compared with the rational LP ``simplex.hull_position``
-over the ball's class points, realized signs with the truncated cover field
-of ``extend_highest``, and every outside answer is checked through its
-certificate walk.
+Ball positions and extreme points are compared with the rational LP
+``simplex.hull_position`` over the ball's class points, realized signs with
+the truncated cover field of ``extend_highest``, and every outside answer
+is checked through its certificate walk.
 """
 
 import random
@@ -88,6 +88,57 @@ def test_position_matches_lp_on_random_maps(random_higher_genus):
             points = rng.sample(points, RANDOM_MAP_POINTS)
         for p in points:
             assert contains(ball, p) == hull_position(ball.points, p), (wmap.digest, p)
+
+
+def _lp_extreme(points):
+    """The class points outside the hull of the others, by the reference LP."""
+    return tuple(
+        p for p in points if hull_position([q for q in points if q != p], p) == "outside"
+    )
+
+
+def _assert_extreme_matches_lp(wmap, basis, ball):
+    full = tuple(
+        p for p in ball.points if highest_potential(wmap, basis, p).normal_rank == basis.rank
+    )
+    assert full == ball.extreme == _lp_extreme(ball.points), wmap.digest
+
+
+EXTREME_FIXTURES = {
+    **{f"G{m}{n}": (lambda m=m, n=n: _grid(m, n)) for m, n in product((1, 2, 3), (1, 2, 3, 4))},
+    "four-geodesic": FIXTURES["four-geodesic"],
+    "genus2": FIXTURES["genus2"],
+}
+
+
+@pytest.mark.parametrize("name", EXTREME_FIXTURES)
+def test_extreme_points_match_lp_on_fixtures(name):
+    _assert_extreme_matches_lp(*EXTREME_FIXTURES[name]())
+
+
+def test_extreme_points_match_lp_on_random_maps(random_higher_genus):
+    for wmap, basis, ball in random_higher_genus:
+        _assert_extreme_matches_lp(wmap, basis, ball)
+
+
+@pytest.mark.parametrize("name", ["G22", "four-geodesic", "genus2"])
+def test_normal_rank_by_position(name):
+    wmap, basis, ball = FIXTURES[name]()
+    vertices = set(_lp_extreme(ball.points))
+    non_vertices = 0
+    for p in _box_and_ring(ball):
+        potential = highest_potential(wmap, basis, p)
+        rank = potential.normal_rank
+        if potential.position == "outside":
+            assert rank is None, p
+        elif potential.position == "interior":
+            assert rank == 0, p
+        elif p in vertices:
+            assert rank == basis.rank, p
+        else:
+            assert 0 < rank < basis.rank, p
+            non_vertices += 1
+    assert non_vertices > 0
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (2, 3)])

@@ -7,7 +7,6 @@ from wallnorm.simplex import (
     UNBOUNDED,
     affine_dimension,
     hull_position,
-    in_hull,
     solve_lp,
 )
 
@@ -90,7 +89,7 @@ def test_hull_position_random_polygons():
         pts = [(rng.randrange(-4, 5), rng.randrange(-4, 5)) for _ in range(8)]
         # symmetrize so the hull is full-dimensional around the origin
         pts = pts + [(-x, -y) for x, y in pts] + [(3, 0), (-3, 0), (0, 3), (0, -3)]
-        hull = [p for p in pts if not in_hull([q for q in pts if q != p], p)]
+        hull = [p for p in pts if hull_position([q for q in pts if q != p], p) == "outside"]
         # order hull counterclockwise by exact angle comparison
         from wallnorm.normball import _ccw_compare
         from functools import cmp_to_key
@@ -102,11 +101,11 @@ def test_hull_position_random_polygons():
                 assert hull_position(pts, (x, y)) == expected, (pts, (x, y))
 
 
-def test_in_hull_edge_cases():
-    assert in_hull([(0, 0)], (0, 0))
-    assert not in_hull([(0, 0)], (1, 0))
-    assert not in_hull([], (0, 0))
-    assert in_hull([(1, 1), (-1, -1)], (0, 0))
+def test_hull_position_edge_cases():
+    assert hull_position([(0, 0)], (0, 0)) != "outside"
+    assert hull_position([(0, 0)], (1, 0)) == "outside"
+    assert hull_position([], (0, 0)) == "outside"
+    assert hull_position([(1, 1), (-1, -1)], (0, 0)) != "outside"
 
 
 def test_affine_dimension():
@@ -114,3 +113,22 @@ def test_affine_dimension():
     assert affine_dimension([(0, 0), (1, 1)]) == 1
     assert affine_dimension([(0, 0), (1, 0), (0, 1)]) == 2
     assert affine_dimension([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 2
+
+
+def test_affine_dimension_matches_smith_rank():
+    from wallnorm.snf import smith_normal_form
+
+    rng = random.Random(5)
+    for _ in range(300):
+        dim, k = rng.randint(1, 6), rng.randint(0, 6)
+        gens = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(k)]
+        base = [rng.randint(-5, 5) for _ in range(dim)]
+        points = [tuple(base)]
+        for _ in range(rng.randint(0, 12)):
+            coeffs = [rng.randint(-2, 2) for _ in range(k)]
+            points.append(tuple(
+                b + sum(c * g[j] for c, g in zip(coeffs, gens)) for j, b in enumerate(base)
+            ))
+        diffs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
+        expected = smith_normal_form(diffs, len(diffs), dim).rank if diffs else 0
+        assert affine_dimension(points) == expected, points
