@@ -11,10 +11,12 @@ through homology only, so it carries an integer cohomology class.
 from __future__ import annotations
 
 import os
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import InternalError, MalformedInput, NotBipartite, NotEulerian, ResourceLimit
 from .homology import Coords, HomologyBasis, homology_basis
@@ -120,61 +122,95 @@ def _over_cap(cap: int) -> ResourceLimit:
     )
 
 
+def _bfs_edge_order(wmap: WallSystemMap) -> list[int]:
+    """Edges grouped by vertex, the vertices in BFS order of the wall graph.
+
+    Vertices are taken breadth first from vertex 0 (restarting at the
+    smallest vertex not yet reached); each appends its edges not yet placed,
+    in rotation order.
+    """
+    order: dict[int, None] = {}  # insertion-ordered set of the placed edges
+    seen: set[int] = set()
+    for root in range(wmap.vertex_count):
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = deque([root])
+        while queue:
+            for d in wmap.rotations[queue.popleft()]:
+                order.setdefault(wmap.dart_edge[d])
+                w = wmap.dart_vertex[wmap.alpha[d]]
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return list(order)
+
+
+def _search_eulerian(wmap: WallSystemMap, cap: int) -> list[tuple[int, ...]]:
+    """Sign vectors of all Eulerian coorientations, in search order.
+
+    Iterative backtracking over the edges in BFS order: once all four edges
+    at a vertex are placed its kappa-weighted sum must be zero, and before
+    that its absolute value must not exceed the number of darts still open.
+    """
+    order = _bfs_edge_order(wmap)
+    # per search position: the edge and the vertices of its tail and head darts
+    steps = [
+        (e, wmap.dart_vertex[wmap.edges[e][0]], wmap.dart_vertex[wmap.edges[e][1]])
+        for e in order
+    ]
+    depth = len(steps)
+    sums = [0] * wmap.vertex_count
+    remaining = [4] * wmap.vertex_count
+    signs = [0] * wmap.edge_count
+    found: list[tuple[int, ...]] = []
+    pos = 0
+    while pos >= 0:
+        if pos == depth:
+            if any(sums):
+                raise InternalError("enumeration reached an unbalanced vertex")
+            found.append(tuple(signs))
+            if len(found) > cap:
+                raise _over_cap(cap)
+            pos -= 1
+            continue
+        e, tail, head = steps[pos]
+        s = signs[e]
+        if s:  # take back the current sign before trying the next one
+            sums[tail] -= s
+            sums[head] += s
+            remaining[tail] += 1
+            remaining[head] += 1
+        if s < 0:
+            signs[e] = 0
+            pos -= 1
+            continue
+        s = -1 if s else 1
+        signs[e] = s
+        sums[tail] += s
+        sums[head] -= s
+        remaining[tail] -= 1
+        remaining[head] -= 1
+        if abs(sums[tail]) <= remaining[tail] and abs(sums[head]) <= remaining[head]:
+            pos += 1
+    return found
+
+
 def iter_eulerian(wmap: WallSystemMap, limit: int | None = None) -> Iterator[Coorientation]:
     """Stream all Eulerian coorientations, lexicographically, + before -.
 
-    Backtracks over edges in index order, pruning with per-vertex partial
-    sums.  Raises ResourceLimit once more than the cap would be yielded, so
-    a partial stream is never mistaken for a complete one.
+    The search backtracks over the edges in BFS order of the wall graph, so
+    every vertex closes early and prunes there; the output order is the
+    lexicographic order of the sign vectors, independent of the search
+    order.  All items are materialized (up to the cap) and sorted before
+    the first is yielded.  Raises ResourceLimit as soon as the search finds
+    more items than the cap, so a partial result is never mistaken for a
+    complete one.
     """
-    cap = _enum_cap(limit)
-    e_count = wmap.edge_count
-    v_count = wmap.vertex_count
-    # per edge: the (vertex, kappa) contributions of its two darts
-    incidence = []
-    for tail, head in wmap.edges:
-        incidence.append(
-            (
-                (wmap.dart_vertex[tail], 1),
-                (wmap.dart_vertex[head], -1),
-            )
-        )
-    sums = [0] * v_count
-    remaining = [4] * v_count
-    signs = [0] * e_count
-    yielded = 0
-
-    def feasible(v: int) -> bool:
-        return abs(sums[v]) <= remaining[v] and (sums[v] + remaining[v]) % 2 == 0
-
-    def assign(e: int, s: int) -> bool:
-        for v, k in incidence[e]:
-            sums[v] += k * s
-            remaining[v] -= 1
-        return all(feasible(v) for v, _ in incidence[e])
-
-    def undo(e: int, s: int) -> None:
-        for v, k in incidence[e]:
-            sums[v] -= k * s
-            remaining[v] += 1
-
-    def walk(e: int) -> Iterator[Coorientation]:
-        nonlocal yielded
-        if e == e_count:
-            yielded += 1
-            if yielded > cap:
-                raise _over_cap(cap)
-            yield Coorientation(tuple(signs))
-            return
-        for s in (1, -1):
-            ok = assign(e, s)
-            signs[e] = s
-            if ok:
-                yield from walk(e + 1)
-            undo(e, s)
-        signs[e] = 0
-
-    return walk(0)
+    found = _search_eulerian(wmap, _enum_cap(limit))
+    found.sort(reverse=True)  # descending order on +-1 puts + first
+    for signs in found:
+        yield Coorientation(signs)
 
 
 _eulerian_cache: dict[str, tuple[Coorientation, ...]] = {}
@@ -202,9 +238,22 @@ def enumerate_eulerian(
     key = (wmap.digest, basis.signature)
     classes = _class_cache.get(key)
     if classes is None:
-        classes = Counter(class_of(wmap, coor, basis) for coor in items)
+        classes = _class_counter(items, basis)
         _class_cache[key] = classes
     return EulerianSet(len(items), items, classes)
+
+
+_CLASS_BLOCK = 1 << 14  # items per matrix product, bounding the int64 copy
+
+
+def _class_counter(items: Sequence[Coorientation], basis: HomologyBasis) -> Counter:
+    """Multiset of the classes of Eulerian items, one matrix product per block."""
+    counts = np.array(basis.cycle_edge_counts, dtype=np.int64).T
+    classes: Counter = Counter()
+    for start in range(0, len(items), _CLASS_BLOCK):
+        block = np.array([c.signs for c in items[start:start + _CLASS_BLOCK]], dtype=np.int64)
+        classes.update(map(tuple, (block @ counts).tolist()))
+    return classes
 
 
 def checkerboard_coorientation(wmap: WallSystemMap) -> Coorientation:

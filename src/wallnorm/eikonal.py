@@ -37,7 +37,8 @@ of the potential, off the realization path.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from operator import mul
 from typing import Iterator, Sequence
@@ -194,17 +195,25 @@ class HighestPotential:
     ``certificate`` is a closed dual walk whose length is less than its
     pairing with the target and ``values``/``steps``/``normal_rank`` are
     None.  Otherwise ``values`` holds g per face (g(0) = 0), ``steps`` the
-    change of the extension across each edge, right to left, and
-    ``normal_rank`` the rank of the classes of tight closed dual walks: the
-    dimension of the ball's normal cone at n, so 0 inside the ball and the
-    full rank exactly at a vertex.
+    change of the extension across each edge, right to left, and ``tight``
+    the tight arcs (from face, to face, class delta).  ``normal_rank``,
+    computed on first use, is the rank of the classes of tight closed dual
+    walks: the dimension of the ball's normal cone at n, so 0 inside the
+    ball and the full rank exactly at a vertex.
     """
 
     position: str
     values: tuple[int, ...] | None = None
     steps: tuple[int, ...] | None = None
     certificate: Walk | None = None
-    normal_rank: int | None = None
+    tight: tuple[tuple[int, int, Coords], ...] = field(default=(), repr=False)
+    basis_rank: int = 0
+
+    @cached_property
+    def normal_rank(self) -> int | None:
+        if self.position == "outside":
+            return None
+        return _cycle_rank(len(self.values), self.tight, self.basis_rank)
 
 
 def highest_potential(
@@ -239,10 +248,10 @@ def highest_potential(
     # the step across an edge is one minus the reduced cost of its right -> left arc
     reduced = [g[u] + cost - g[v] for u, v, cost, _ in arcs]
     steps = tuple(1 - r for r, (_, _, _, (_, d)) in zip(reduced, arcs) if d > 0)
-    tight = [move[:3] for move, r in zip(basis.moves, reduced) if r == 0]
-    rank = _cycle_rank(faces, tight, basis.rank)
-    position = "boundary" if rank else "interior"
-    return HighestPotential(position, tuple(g), steps, normal_rank=rank)
+    tight = tuple(move[:3] for move, r in zip(basis.moves, reduced) if r == 0)
+    # every tight closed walk has a nonzero class, so a tight cycle is a normal direction
+    position = "boundary" if _has_cycle(faces, tight) else "interior"
+    return HighestPotential(position, tuple(g), steps, tight=tight, basis_rank=basis.rank)
 
 
 def _parent_cycle(parent: list, node: int, faces: int) -> Walk:
@@ -261,7 +270,26 @@ def _parent_cycle(parent: list, node: int, faces: int) -> Walk:
             return tuple(reversed(walk))
 
 
-def _cycle_rank(faces: int, arcs: list[tuple[int, int, Coords]], rank: int) -> int:
+def _has_cycle(faces: int, arcs: Sequence[tuple[int, int, Coords]]) -> bool:
+    """Whether the directed arcs (from, to, ...) close a cycle (Kahn's peeling)."""
+    indegree = [0] * faces
+    out: list[list[int]] = [[] for _ in range(faces)]
+    for u, v, _ in arcs:
+        out[u].append(v)
+        indegree[v] += 1
+    free = [f for f in range(faces) if not indegree[f]]
+    peeled = 0
+    while free:
+        u = free.pop()
+        peeled += 1
+        for v in out[u]:
+            indegree[v] -= 1
+            if not indegree[v]:
+                free.append(v)
+    return peeled < faces
+
+
+def _cycle_rank(faces: int, arcs: Sequence[tuple[int, int, Coords]], rank: int) -> int:
     """Rank of the classes of the closed walks along the arcs (from, to, class delta).
 
     Such walks stay inside the strongly connected components of the arcs.

@@ -74,6 +74,22 @@ class HomologyBasis:
         )
 
     @cached_property
+    def cycle_edge_counts(self) -> tuple[Coords, ...]:
+        """Row i: the signed number of times cycle i crosses each edge.
+
+        The class of an Eulerian coorientation is this matrix applied to its
+        signs.
+        """
+        rows = []
+        for cycle in self.cycles:
+            self.wmap.dual_graph.check_closed(cycle)
+            row = [0] * self.wmap.edge_count
+            for e, direction in cycle:
+                row[e] += direction
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
     def moves(self) -> tuple[tuple[int, int, Coords, Crossing], ...]:
         """Directed wall crossings as cover moves: (from face, to face, class delta, crossing).
 

@@ -20,10 +20,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BoxExceeded, InternalError, UnstableTruncation
+from .errors import BoxExceeded, InternalError, ResourceLimit, UnstableTruncation
 from .homology import Coords, HomologyBasis
 from .surface_map import Walk, WallSystemMap
 from . import normball
+
+# Largest cover table (faces times box lifts) _distances allocates, int32 each.
+MAX_COVER_STATES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,11 @@ def _distances(wmap: WallSystemMap, basis: HomologyBasis, h: int, base_face: int
     box = side**rank
     strides = [side**i for i in range(rank)]
     total = len(wmap.faces) * box
+    if total > MAX_COVER_STATES:
+        raise ResourceLimit(
+            f"cover table at truncation {h} needs {total} states, "
+            f"over the budget of {MAX_COVER_STATES}"
+        )
     dist = np.full(total, -1, dtype=np.int32)
     start = base_face * box + sum(h * s for s in strides)
     dist[start] = 0

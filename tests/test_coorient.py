@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -22,8 +23,15 @@ from wallnorm import (
     vertex_kind,
 )
 from wallnorm import coorient as coorient_module
-from wallnorm.fixtures import grid_basis, grid_map
-from wallnorm.surface_map import reverse_walk
+from wallnorm.fixtures import (
+    four_geodesic_example,
+    genus2_example,
+    grid_basis,
+    grid_map,
+    random_wall_system,
+)
+from wallnorm.homology import set_user_basis
+from wallnorm.surface_map import concat_closed_walks, reverse_walk
 
 from conftest import random_closed_walk
 
@@ -84,10 +92,40 @@ def test_enumeration_matches_brute_force(g11, g22, g23, genus2, one_curve, rando
         assert got == expected
 
 
-def test_enumeration_order_lexicographic(g22):
-    items = list(iter_eulerian(g22))
-    keys = [tuple(0 if s > 0 else 1 for s in c.signs) for c in items]
-    assert keys == sorted(keys)
+def test_enumeration_order_lexicographic(g22, g23, genus2):
+    for wmap in (g22, g23, grid_map(3, 3), four_geodesic_example(), genus2):
+        items = list(iter_eulerian(wmap))
+        keys = [tuple(0 if s > 0 else 1 for s in c.signs) for c in items]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+
+
+def _differential_cases():
+    """(map, basis) pairs: small grids, the named examples, random maps, a skewed basis."""
+    cases = [(grid_map(m, n), None) for m in (1, 2, 3) for n in (1, 2, 3)]
+    cases += [(four_geodesic_example(), None), (genus2_example(), None)]
+    rng = random.Random(20261018)
+    wanted = {2: 3, 3: 2}
+    while any(wanted.values()):
+        wmap = random_wall_system(rng.choice((3, 4, 5, 6)), rng)
+        if wanted.get(wmap.genus):
+            wanted[wmap.genus] -= 1
+            cases.append((wmap, None))
+    four = four_geodesic_example()
+    w1, w2 = homology_basis(four).cycles
+    skew = set_user_basis(four, (concat_closed_walks(four.dual_graph, w1, w2), w2))
+    cases.append((four, skew))
+    return cases
+
+
+def test_enumeration_classes_match_class_of():
+    for wmap, basis in _differential_cases():
+        basis = basis if basis is not None else homology_basis(wmap)
+        eul = enumerate_eulerian(wmap, basis)
+        assert eul.classes == Counter(class_of(wmap, c, basis) for c in eul.items), wmap.digest
+        if wmap.edge_count <= 16:
+            expected = sorted(brute_force_eulerian(wmap), reverse=True)  # + before -
+            assert [c.signs for c in eul.items] == expected, wmap.digest
 
 
 def test_count_bounds(g11, g22, g23, genus2, random_maps):

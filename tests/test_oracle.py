@@ -12,8 +12,9 @@ from wallnorm import (
     set_user_basis,
     verify_min_equals_max,
 )
-from wallnorm.errors import BoxExceeded
-from wallnorm.fixtures import grid_basis, grid_map
+from wallnorm import oracle
+from wallnorm.errors import BoxExceeded, ResourceLimit
+from wallnorm.fixtures import grid_basis, grid_map, random_wall_system
 from wallnorm.surface_map import concat_closed_walks
 
 
@@ -193,3 +194,20 @@ def test_unstable_truncation_error_path(g22, b22, monkeypatch):
     monkeypatch.setattr(oracle_module, "_single_cycle_table", fake_table)
     with pytest.raises(UnstableTruncation):
         min_multicurve(g22, b22, (1, 0), h=4, max_truncation=8)
+
+
+def test_cover_table_over_budget_is_refused(monkeypatch):
+    # genus three, one face: verify --box 1 starts at truncation 9, 19**6 states
+    rng = random.Random(5)
+    wmap = next(m for m in iter(lambda: random_wall_system(5, rng), None) if m.genus == 3)
+    basis = homology_basis(wmap)
+    assert len(wmap.faces) * 19**6 > oracle.MAX_COVER_STATES
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cover table was allocated")
+
+    monkeypatch.setattr(oracle.np, "full", refuse)
+    with pytest.raises(ResourceLimit, match="over the budget"):
+        verify_min_equals_max(wmap, basis, 1)
+    with pytest.raises(ResourceLimit, match="truncation 9 needs"):
+        min_multicurve(wmap, basis, (1, 0, 0, 0, 0, 0))
