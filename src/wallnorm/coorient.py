@@ -246,14 +246,17 @@ def enumerate_eulerian(
 _CLASS_BLOCK = 1 << 14  # items per matrix product, bounding the int64 copy
 
 
-def _class_counter(items: Sequence[Coorientation], basis: HomologyBasis) -> Counter:
-    """Multiset of the classes of Eulerian items, one matrix product per block."""
+def classes_of(items: Sequence[Coorientation], basis: HomologyBasis) -> Iterator[Coords]:
+    """The classes of Eulerian items in their order, one matrix product per block."""
     counts = np.array(basis.cycle_edge_counts, dtype=np.int64).T
-    classes: Counter = Counter()
     for start in range(0, len(items), _CLASS_BLOCK):
         block = np.array([c.signs for c in items[start:start + _CLASS_BLOCK]], dtype=np.int64)
-        classes.update(map(tuple, (block @ counts).tolist()))
-    return classes
+        yield from map(tuple, (block @ counts).tolist())
+
+
+def _class_counter(items: Sequence[Coorientation], basis: HomologyBasis) -> Counter:
+    """Multiset of the classes of Eulerian items."""
+    return Counter(classes_of(items, basis))
 
 
 def checkerboard_coorientation(wmap: WallSystemMap) -> Coorientation:

@@ -43,7 +43,7 @@ from itertools import product
 from operator import mul
 from typing import Iterator, Sequence
 
-from .coorient import Coorientation, class_of, is_eulerian, iter_eulerian
+from .coorient import Coorientation, class_of, classes_of, enumerate_eulerian, is_eulerian
 from .errors import InternalError, NotRealizable
 from .homology import Coords, HomologyBasis, gamma_parity
 from .simplex import affine_dimension
@@ -378,8 +378,10 @@ def realize(
 
 
 def _lookup(wmap: WallSystemMap, basis: HomologyBasis, n: Coords) -> RealizationResult:
-    for coor in iter_eulerian(wmap):
-        if class_of(wmap, coor, basis) == n:
+    """The first Eulerian coorientation of class n in enumeration order."""
+    items = enumerate_eulerian(wmap, basis).items
+    for coor, cls in zip(items, classes_of(items, basis)):
+        if cls == n:
             return RealizationResult(coor, n, "enumeration-fallback")
     raise NotRealizable(
         "outside-ball", f"no Eulerian coorientation has class {n}"

@@ -52,52 +52,62 @@ class VerifyReport:
         return not self.discrepancies
 
 
-def _distances(wmap: WallSystemMap, basis: HomologyBasis, h: int, base_face: int) -> np.ndarray:
-    """BFS distances from (base_face, 0) over the box |h_i| <= h (flat layout)."""
-    rank = basis.rank
-    side = 2 * h + 1
-    box = side**rank
-    strides = [side**i for i in range(rank)]
-    total = len(wmap.faces) * box
+def _cover_states(wmap: WallSystemMap, basis: HomologyBasis, h: int) -> int:
+    """States of the cover truncated at h; ResourceLimit above MAX_COVER_STATES."""
+    total = len(wmap.faces) * (2 * h + 1) ** basis.rank
     if total > MAX_COVER_STATES:
         raise ResourceLimit(
             f"cover table at truncation {h} needs {total} states, "
             f"over the budget of {MAX_COVER_STATES}"
         )
-    dist = np.full(total, -1, dtype=np.int32)
-    start = base_face * box + sum(h * s for s in strides)
+    return total
+
+
+def _cover_moves(basis: HomologyBasis, h: int) -> dict[int, list[tuple[int, tuple]]]:
+    """From face -> its moves at truncation h: (flat offset, nonzero (coordinate, step) pairs)."""
+    side = 2 * h + 1
+    by_face: dict[int, list[tuple[int, tuple]]] = {}
+    for f_from, f_to, delta, _ in basis.moves:
+        flat = (f_to - f_from) * side**basis.rank + sum(d * side**i for i, d in enumerate(delta))
+        steps = tuple((i, d) for i, d in enumerate(delta) if d)
+        by_face.setdefault(f_from, []).append((flat, steps))
+    return by_face
+
+
+def _distances(
+    wmap: WallSystemMap, basis: HomologyBasis, h: int, base_face: int, moves: dict
+) -> np.ndarray:
+    """BFS distances from (base_face, 0) over the box |h_i| <= h (flat layout).
+
+    A state gets its level as soon as a move discovers it, so later moves of
+    the same level skip it and a frontier needs no deduplication.  ``moves``
+    is ``_cover_moves(basis, h)``, shared across base faces.
+    """
+    side = 2 * h + 1
+    box = side**basis.rank
+    dist = np.full(_cover_states(wmap, basis, h), -1, dtype=np.int32)
+    start = base_face * box + box // 2  # the zero class is the centre of the box
     dist[start] = 0
     frontier = np.array([start], dtype=np.int64)
-
-    moves = []
-    for f_from, f_to, delta, _ in basis.moves:
-        flat = (f_to - f_from) * box + sum(d * s for d, s in zip(delta, strides))
-        moves.append((f_from, delta, flat))
-
     level = 0
     while frontier.size:
-        parts = []
-        faces = frontier // box
-        for f_from, delta, flat in moves:
-            sel = frontier[faces == f_from]
-            for i in range(rank):
-                if not sel.size:
-                    break
-                d = delta[i]
-                if d:
-                    digit = (sel // strides[i]) % side
-                    sel = sel[(digit + d >= 0) & (digit + d < side)]
-            if sel.size:
-                parts.append(sel + flat)
-        if not parts:
-            break
-        candidates = np.unique(np.concatenate(parts))
-        new = candidates[dist[candidates] < 0]
-        if not new.size:
-            break
         level += 1
-        dist[new] = level
-        frontier = new
+        faces = frontier // box
+        parts = []
+        for f_from, face_moves in moves.items():
+            at = frontier[faces == f_from]
+            if not at.size:
+                continue
+            digits = [(at // side**i) % side for i in range(basis.rank)]
+            for flat, steps in face_moves:
+                keep = True  # stays in the box: 0 <= digit + d < side
+                for i, d in steps:
+                    keep = keep & (digits[i] >= -d if d < 0 else digits[i] < side - d)
+                sel = (at[keep] if steps else at) + flat
+                sel = sel[dist[sel] < 0]
+                dist[sel] = level
+                parts.append(sel)
+        frontier = np.concatenate(parts)
     return dist
 
 
@@ -109,19 +119,14 @@ def _single_cycle_table(
     wmap: WallSystemMap, basis: HomologyBasis, radius: int, h: int
 ) -> dict[Coords, tuple[float, int]]:
     """Per class in the radius box: (min closed-walk length, base face), inf if none."""
-    rank = basis.rank
     side = 2 * h + 1
-    box = side**rank
-    strides = [side**i for i in range(rank)]
-    table: dict[Coords, tuple[float, int]] = {
-        c: (math.inf, -1) for c in _box_classes(rank, radius)
-    }
+    moves = _cover_moves(basis, h)
+    table = {c: (math.inf, -1) for c in _box_classes(basis.rank, radius)}
+    lifts = np.array([sum((ci + h) * side**i for i, ci in enumerate(c)) for c in table])
     for f0 in range(len(wmap.faces)):
-        dist = _distances(wmap, basis, h, f0)
-        for c in table:
-            idx = f0 * box + sum((ci + h) * s for ci, s in zip(c, strides))
-            d = int(dist[idx])
-            if d >= 0 and d < table[c][0]:
+        dist = _distances(wmap, basis, h, f0, moves)[f0 * side**basis.rank + lifts]
+        for (c, (best, _)), d in zip(table.items(), dist.tolist()):
+            if 0 <= d < best:
                 table[c] = (d, f0)
     return table
 
@@ -142,9 +147,9 @@ def _dp_tables(single: dict[Coords, tuple[float, int]], radius: int):
             bound = m[c]
             for c1 in order:
                 v1 = m[c1]
-                if c1 == zero or v1 + 1 >= bound:
-                    if v1 + 1 >= bound:
-                        break
+                if v1 + 1 >= bound:
+                    break
+                if c1 == zero:
                     continue
                 c2 = tuple(a - b for a, b in zip(c, c1))
                 if any(abs(x) > radius for x in c2):
@@ -204,22 +209,23 @@ def min_single_cycle(
 ) -> tuple[int, Walk]:
     """Minimum length of one closed dual walk of class exactly a, with witness.
 
-    Raises BoxExceeded when no such walk fits inside the truncation box.
+    Raises BoxExceeded when no such walk fits inside the truncation box, and
+    ResourceLimit, before searching, when the box is over MAX_COVER_STATES.
     """
     a = tuple(int(x) for x in a)
     if len(a) != basis.rank:
         raise ValueError(f"class must have {basis.rank} coordinates")
     if h < max((abs(x) for x in a), default=0):
         raise ValueError("truncation radius is smaller than the class itself")
-    best: tuple[int, int] | None = None
+    _cover_states(wmap, basis, h)
+    best: Walk | None = None
     for f0 in range(len(wmap.faces)):
         walk = _bfs_walk(wmap, basis, a, h, f0)
-        if walk is not None and (best is None or len(walk) < best[0]):
-            best = (len(walk), f0)
+        if walk is not None and (best is None or len(walk) < len(best)):
+            best = walk
     if best is None:
         raise BoxExceeded(f"no closed walk of class {a} inside the box of radius {h}")
-    walk = _bfs_walk(wmap, basis, a, h, best[1])
-    return len(walk), walk
+    return len(best), best
 
 
 def default_truncation(basis: HomologyBasis, radius: int) -> int:

@@ -1,6 +1,13 @@
+import operator
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import product
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wallnorm import (
@@ -12,7 +19,7 @@ from wallnorm import (
     set_user_basis,
     verify_min_equals_max,
 )
-from wallnorm import oracle
+from wallnorm import fixtures, oracle
 from wallnorm.errors import BoxExceeded, ResourceLimit
 from wallnorm.fixtures import grid_basis, grid_map, random_wall_system
 from wallnorm.surface_map import concat_closed_walks
@@ -211,3 +218,90 @@ def test_cover_table_over_budget_is_refused(monkeypatch):
         verify_min_equals_max(wmap, basis, 1)
     with pytest.raises(ResourceLimit, match="truncation 9 needs"):
         min_multicurve(wmap, basis, (1, 0, 0, 0, 0, 0))
+
+
+def _random_map(vertices, genus, seed):
+    rng = random.Random(seed)
+    return next(m for m in iter(lambda: random_wall_system(vertices, rng), None) if m.genus == genus)
+
+
+def test_min_single_cycle_over_budget_is_refused(monkeypatch):
+    # the one-face genus-3 map above: truncation 9 needs 19**6 states
+    wmap = _random_map(5, 3, 5)
+    basis = homology_basis(wmap)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cover was searched")
+
+    monkeypatch.setattr(oracle, "_bfs_walk", refuse)
+    with pytest.raises(ResourceLimit, match=r"truncation 9 needs 47045881 states, over the budget"):
+        min_single_cycle(wmap, basis, (1, 0, 0, 0, 0, 0), 9)
+
+
+def _dict_distances(basis, h, base_face):
+    """Plain BFS over (face, class) states with every |class_i| <= h."""
+    out: dict[int, list] = {}
+    for f_from, f_to, delta, _ in basis.moves:
+        out.setdefault(f_from, []).append((f_to, delta))
+    seen = {(base_face, (0,) * basis.rank): 0}
+    frontier = list(seen)
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        for face, vec in frontier:
+            for f_to, delta in out[face]:
+                state = (f_to, tuple(map(operator.add, vec, delta)))
+                if state not in seen and -h <= min(state[1]) and max(state[1]) <= h:
+                    seen[state] = level
+                    nxt.append(state)
+        frontier = nxt
+    return seen
+
+
+def test_cover_distances_match_dict_bfs(g11, b11, g22, b22, genus2, genus2_basis):
+    # the flat layout of _distances: face * box + sum((c_i + h) * side**i)
+    four = fixtures.four_geodesic_example()
+    auto = homology_basis(g22)
+    w1, w2 = auto.cycles
+    skew = set_user_basis(g22, (concat_closed_walks(g22.dual_graph, w1, w2, w2), w2))
+    assert max(abs(d) for move in skew.moves for d in move[2]) >= 2
+    cases = [(g11, b11), (g22, b22), (g22, skew), (four, homology_basis(four)),
+             (genus2, genus2_basis)]
+    cases += [(m, homology_basis(m)) for m in
+              (_random_map(3, 2, 1), _random_map(4, 2, 1), _random_map(5, 3, 3))]
+    for wmap, basis in cases:
+        truncations = [1, 2, 3]
+        if basis.rank <= 4:  # at genus 3 the verify --box 1 default is over the budget
+            truncations.append(oracle.default_truncation(basis, 1))
+        for h in truncations:
+            side = 2 * h + 1
+            box = side**basis.rank
+            moves = oracle._cover_moves(basis, h)
+            for f0 in range(len(wmap.faces)):
+                expected = np.full(len(wmap.faces) * box, -1, dtype=np.int32)
+                for (face, vec), d in _dict_distances(basis, h, f0).items():
+                    expected[face * box + sum((c + h) * side**i for i, c in enumerate(vec))] = d
+                assert np.array_equal(oracle._distances(wmap, basis, h, f0, moves), expected)
+
+
+def test_cold_verify_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on first use: about 30 ms on every cold request
+    wall = tmp_path / "genus2.wall"
+    wall.write_text(fixtures.genus2_example().canonical_text)
+    script = textwrap.dedent(f"""
+        import io, sys
+        import numpy
+        eager = "numpy.ma" in sys.modules
+        from wallnorm import cli
+        code = cli.main(["verify", {str(wall)!r}, "--box", "1"], out=io.StringIO())
+        print(code, eager, "numpy.ma" in sys.modules)
+    """)
+    src = str(Path(oracle.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+    code, eager, loaded = result.stdout.split()
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert (code, loaded) == ("0", "False")
