@@ -36,6 +36,13 @@ class Coorientation:
         if any(s not in (-1, 1) for s in self.signs):
             raise MalformedInput("coorientation signs must be +1 or -1")
 
+    @classmethod
+    def _unchecked(cls, signs: tuple[int, ...]) -> "Coorientation":
+        """An instance whose signs the caller already knows to be +1 or -1."""
+        coor = object.__new__(cls)
+        object.__setattr__(coor, "signs", signs)
+        return coor
+
     def __len__(self) -> int:
         return len(self.signs)
 
@@ -120,6 +127,13 @@ def _over_cap(cap: int) -> ResourceLimit:
     return ResourceLimit(
         f"Eulerian enumeration exceeded the cap of {cap}; results would be partial"
     )
+
+
+def _check_cap(count: int, limit: int | None = None) -> None:
+    """Raise ResourceLimit for `count` kept items over the cap, as a fresh enumeration would."""
+    cap = _enum_cap(limit)
+    if count > cap:
+        raise _over_cap(cap)
 
 
 def _bfs_edge_order(wmap: WallSystemMap) -> list[int]:
@@ -209,8 +223,8 @@ def iter_eulerian(wmap: WallSystemMap, limit: int | None = None) -> Iterator[Coo
     """
     found = _search_eulerian(wmap, _enum_cap(limit))
     found.sort(reverse=True)  # descending order on +-1 puts + first
-    for signs in found:
-        yield Coorientation(signs)
+    for signs in found:  # the search only places +-1
+        yield Coorientation._unchecked(signs)
 
 
 _eulerian_cache: dict[str, tuple[Coorientation, ...]] = {}
@@ -228,13 +242,12 @@ def enumerate_eulerian(
     """
     if basis is None:
         basis = homology_basis(wmap)
-    cap = _enum_cap(limit)
     items = _eulerian_cache.get(wmap.digest)
     if items is None:
-        items = tuple(iter_eulerian(wmap, cap))
+        items = tuple(iter_eulerian(wmap, limit))
         _eulerian_cache[wmap.digest] = items
-    elif len(items) > cap:
-        raise _over_cap(cap)
+    else:
+        _check_cap(len(items), limit)
     key = (wmap.digest, basis.signature)
     classes = _class_cache.get(key)
     if classes is None:

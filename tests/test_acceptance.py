@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 All comparisons are exact; the timed criteria measure fresh computations
-(the enumeration caches are cleared first).
+(the enumeration caches and the dual-ball memo are cleared first).
 """
 
 import random
@@ -31,6 +31,7 @@ from wallnorm import (
     verify_min_equals_max,
 )
 from wallnorm import coorient as coorient_module
+from wallnorm import normball as normball_module
 from wallnorm.fixtures import (
     genus2_example,
     grid_basis,
@@ -55,6 +56,7 @@ def criterion(num, name):
 def clear_enumeration_caches():
     coorient_module._eulerian_cache.clear()
     coorient_module._class_cache.clear()
+    normball_module._ball_cache.clear()
 
 
 def test_criterion_1_torus_grid_norm():

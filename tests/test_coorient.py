@@ -257,3 +257,16 @@ def test_coorientation_file_round_trip(g22):
         Coorientation.from_text("edge 0: +\n", g22.edge_count)
     with pytest.raises(MalformedInput):
         Coorientation.from_text(text.replace("edge 3", "edge 99"), g22.edge_count)
+
+
+def test_direct_construction_checks_signs():
+    for signs in ((1, 0), (1, 2), (-1, -2)):
+        with pytest.raises(MalformedInput):
+            Coorientation(signs)
+
+
+def test_enumerated_items_equal_checked_ones(g22, genus2):
+    for wmap in (g22, genus2):
+        for coor in iter_eulerian(wmap):
+            checked = Coorientation(coor.signs)
+            assert coor == checked and hash(coor) == hash(checked)

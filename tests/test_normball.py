@@ -11,12 +11,20 @@ from wallnorm import (
     enumerate_eulerian,
     eulerian_class_counter,
     gamma_parity,
+    homology_basis,
     is_eulerian,
     norm,
     norm_rational,
 )
-from wallnorm.errors import DegenerateBall
-from wallnorm.fixtures import grid_basis, grid_map
+from wallnorm import normball
+from wallnorm.errors import DegenerateBall, InternalError
+from wallnorm.fixtures import (
+    four_geodesic_example,
+    genus2_example,
+    grid_basis,
+    grid_map,
+    random_wall_system,
+)
 from wallnorm.normball import DualBall
 from wallnorm.simplex import hull_position
 
@@ -53,6 +61,54 @@ def test_norm_rational(g22, b22):
         va = norm_rational(g22, b22, a)
         assert norm_rational(g22, b22, tuple(q * x for x in a)) == q * va
         assert norm_rational(g22, b22, tuple(-x for x in a)) == va
+
+
+def _differential_maps():
+    """G(1,1)...G(3,4), the named examples, and seeded random maps of rank 2, 4, 6."""
+    maps = []
+    for m, n in product((1, 2, 3), (1, 2, 3, 4)):
+        wmap = grid_map(m, n)
+        maps.append((wmap, grid_basis(wmap, m, n)))
+    for wmap in (four_geodesic_example(), genus2_example()):
+        maps.append((wmap, homology_basis(wmap)))
+    rng = random.Random(61)
+    wanted = {2: 3, 4: 3, 6: 2}
+    while any(wanted.values()):
+        wmap = random_wall_system(rng.choice((2, 3, 4, 5, 6)), rng)
+        basis = homology_basis(wmap)
+        if wanted.get(basis.rank):
+            wanted[basis.rank] -= 1
+            maps.append((wmap, basis))
+    return maps
+
+
+def test_norm_equals_max_over_all_classes():
+    """Maximizing over the extreme points loses neither value nor witness."""
+    rng = random.Random(62)
+    for wmap, basis in _differential_maps():
+        points = sorted(eulerian_class_counter(wmap, basis))
+        queries = [(0,) * basis.rank]
+        queries += [tuple(rng.randint(-5, 5) for _ in range(basis.rank)) for _ in range(100)]
+        for a in queries:
+            values = [sum(x * y for x, y in zip(p, a)) for p in points]
+            best = max(values)  # the first maximizer is the smallest one
+            result = norm(wmap, basis, a)
+            assert (result.value, result.witness) == (best, points[values.index(best)]), a
+        for _ in range(20):
+            a = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(basis.rank))
+            assert norm_rational(wmap, basis, a) == max(
+                sum(x * y for x, y in zip(p, a)) for p in points
+            ), a
+        assert dual_ball(wmap, basis) is dual_ball(wmap, basis)
+
+
+def test_norm_refuses_a_ball_without_extreme_points(g22, b22, monkeypatch):
+    empty = DualBall(points=((0, 0),), extreme=(), dim=2)
+    monkeypatch.setattr(normball, "_ball_cache", {(g22.digest, b22.signature): (1, empty)})
+    with pytest.raises(InternalError, match="no extreme points"):
+        norm(g22, b22, (1, 0))
+    with pytest.raises(InternalError, match="no extreme points"):
+        norm_rational(g22, b22, (Fraction(1, 2), 0))
 
 
 def test_dual_ball_g11(g11, b11):
