@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InternalError, MalformedInput, NotBipartite, NotEulerian, ResourceLimit
-from .homology import Coords, HomologyBasis, homology_basis
+from .homology import Coords, HomologyBasis, _check_basis_map, homology_basis
 from .surface_map import Crossing, WallSystemMap
 
 ENUM_CAP_ENV = "WALLNORM_MAX_ENUM"
@@ -227,10 +227,6 @@ def iter_eulerian(wmap: WallSystemMap, limit: int | None = None) -> Iterator[Coo
         yield Coorientation._unchecked(signs)
 
 
-_eulerian_cache: dict[str, tuple[Coorientation, ...]] = {}
-_class_cache: dict[tuple[str, str], Counter] = {}
-
-
 def enumerate_eulerian(
     wmap: WallSystemMap,
     basis: HomologyBasis | None = None,
@@ -238,21 +234,21 @@ def enumerate_eulerian(
 ) -> EulerianSet:
     """Exhaustive, duplicate-free Eulerian enumeration with class multiset.
 
-    The cap applies alike to a fresh and to a cached enumeration.
+    The items are kept on the map and the class multiset on the basis, each
+    for the lifetime of that object; the cap applies alike to a fresh and
+    to a kept enumeration.  Raises InternalError for a basis of another map.
     """
     if basis is None:
         basis = homology_basis(wmap)
-    items = _eulerian_cache.get(wmap.digest)
+    _check_basis_map(wmap, basis)
+    items = wmap._memo.get("eulerian")
     if items is None:
-        items = tuple(iter_eulerian(wmap, limit))
-        _eulerian_cache[wmap.digest] = items
+        items = wmap._memo["eulerian"] = tuple(iter_eulerian(wmap, limit))
     else:
         _check_cap(len(items), limit)
-    key = (wmap.digest, basis.signature)
-    classes = _class_cache.get(key)
+    classes = basis._memo.get("classes")
     if classes is None:
-        classes = _class_counter(items, basis)
-        _class_cache[key] = classes
+        classes = basis._memo["classes"] = Counter(classes_of(items, basis))
     return EulerianSet(len(items), items, classes)
 
 
@@ -265,11 +261,6 @@ def classes_of(items: Sequence[Coorientation], basis: HomologyBasis) -> Iterator
     for start in range(0, len(items), _CLASS_BLOCK):
         block = np.array([c.signs for c in items[start:start + _CLASS_BLOCK]], dtype=np.int64)
         yield from map(tuple, (block @ counts).tolist())
-
-
-def _class_counter(items: Sequence[Coorientation], basis: HomologyBasis) -> Counter:
-    """Multiset of the classes of Eulerian items."""
-    return Counter(classes_of(items, basis))
 
 
 def checkerboard_coorientation(wmap: WallSystemMap) -> Coorientation:

@@ -14,7 +14,7 @@ basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -61,6 +61,9 @@ class HomologyBasis:
     cycles: tuple[Walk, ...]
     cocycles: tuple[tuple[int, ...], ...]
     label: str = "auto"
+    # results derived from this basis (class multiset, dual ball), kept for
+    # its lifetime; not part of equality, hash or repr
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -192,15 +195,21 @@ def _chain_to_walk(dual: DualGraph, parents: dict[int, tuple[int, Crossing]],
             outgoing.setdefault(src, []).append((e, direction))
 
     # connect support components to the base through doubled tree paths
+    seen: set[int] = set()
+
+    def reach(start: int) -> None:
+        """Mark every face reachable from start through the chain's support."""
+        seen.add(start)
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            for e, direction, other in dual.moves[node]:
+                if chain.get(e) and other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+
     base = min(nodes)
-    seen = {base}
-    stack = [base]
-    while stack:
-        node = stack.pop()
-        for e, direction, other in dual.moves[node]:
-            if chain.get(e) and other not in seen:
-                seen.add(other)
-                stack.append(other)
+    reach(base)
     missing = sorted(n for n in nodes if n not in seen)
     while missing:
         target = missing[0]
@@ -211,15 +220,7 @@ def _chain_to_walk(dual: DualGraph, parents: dict[int, tuple[int, Crossing]],
         for e, direction in reverse_walk(path):
             src, _ = dual.crossing_ends(e, direction)
             outgoing.setdefault(src, []).append((e, direction))
-        # everything reachable through the new path joins the base component
-        stack = [target]
-        seen.add(target)
-        while stack:
-            node = stack.pop()
-            for e, direction, other in dual.moves[node]:
-                if chain.get(e) and other not in seen:
-                    seen.add(other)
-                    stack.append(other)
+        reach(target)  # its component joins the base component through the path
         missing = sorted(n for n in nodes if n not in seen)
 
     for moves in outgoing.values():
@@ -252,10 +253,12 @@ def homology_basis(wmap: WallSystemMap) -> HomologyBasis:
     quotiented by the image of d2 via Smith normal form; the surviving free
     generators give the cycles and the matching rows of the transform give
     the cocycles.  Raises TorsionDetected if the quotient is not free.
+    The basis is kept on the map: every call for the same map object
+    returns the same basis.
     """
-    cached = _basis_cache.get(wmap.digest)
-    if cached is not None:
-        return cached
+    kept = wmap._memo.get("basis")
+    if kept is not None:
+        return kept
 
     dual = wmap.dual_graph
     tree, parents = _spanning_tree(dual)
@@ -300,11 +303,8 @@ def homology_basis(wmap: WallSystemMap) -> HomologyBasis:
 
     basis = HomologyBasis(wmap, tuple(cycles), tuple(cocycles), label="auto")
     _check_basis(basis, bnd)
-    _basis_cache[wmap.digest] = basis
+    wmap._memo["basis"] = basis
     return basis
-
-
-_basis_cache: dict[str, HomologyBasis] = {}
 
 
 def _check_basis(basis: HomologyBasis, bnd: BoundaryMatrices) -> None:
@@ -333,9 +333,14 @@ def class_of_walk(walk: Sequence[Crossing], basis: HomologyBasis) -> Coords:
 
 def gamma_parity(wmap: WallSystemMap, basis: HomologyBasis) -> Coords:
     """The mod-2 crossing class of the wall system against the basis cycles."""
-    if basis.wmap != wmap:
-        raise InternalError("the basis belongs to a different map")
+    _check_basis_map(wmap, basis)
     return tuple(len(b) % 2 for b in basis.cycles)
+
+
+def _check_basis_map(wmap: WallSystemMap, basis: HomologyBasis) -> None:
+    """Raise InternalError unless the basis was built on this map (or an equal one)."""
+    if basis.wmap is not wmap and basis.wmap != wmap:
+        raise InternalError("the basis belongs to a different map")
 
 
 def set_user_basis(wmap: WallSystemMap, walks: Sequence[Sequence[Crossing]]) -> HomologyBasis:

@@ -7,7 +7,7 @@ Everything is decided exactly by the highest potential of ``eikonal``, an
 integer shortest-path computation on the dual graph: the position of a
 lattice point (outside, boundary, interior), and the extreme points, the
 class points whose tight closed dual walks span full rank.  The ball is
-built once per map and basis and kept; norm queries maximize over its
+built once per basis and kept on it; norm queries maximize over its
 extreme points.  Areas come from the shoelace formula.
 """
 
@@ -23,7 +23,7 @@ from typing import Sequence
 from .coorient import _check_cap, enumerate_eulerian
 from .eikonal import highest_potential
 from .errors import DegenerateBall, InternalError
-from .homology import Coords, HomologyBasis
+from .homology import Coords, HomologyBasis, _check_basis_map
 from .simplex import affine_dimension
 from .surface_map import WallSystemMap
 
@@ -68,7 +68,7 @@ class DualBall:
 
 
 def eulerian_class_counter(wmap: WallSystemMap, basis: HomologyBasis) -> Counter:
-    """Multiset of Eulerian classes (cached per map and basis)."""
+    """Multiset of Eulerian classes (kept on the basis)."""
     return enumerate_eulerian(wmap, basis).classes
 
 
@@ -145,26 +145,24 @@ def _build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[int, DualBal
     return eul.count, DualBall(points, extreme, dim, polygon, area, wmap, basis)
 
 
-_ball_cache: dict[tuple[str, str], tuple[int, DualBall]] = {}
-
-
 def _memo_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
     # norm reads the ball here rather than through dual_ball, so that a
     # norm query does not count as a ball construction in traced runs
-    key = (wmap.digest, basis.signature)
-    entry = _ball_cache.get(key)
+    _check_basis_map(wmap, basis)
+    entry = basis._memo.get("ball")
     if entry is None:
-        entry = _ball_cache[key] = _build_ball(wmap, basis)
+        entry = basis._memo["ball"] = _build_ball(wmap, basis)
     else:  # the cap acts on a kept ball as on a fresh enumeration
         _check_cap(entry[0])
     return entry[1]
 
 
 def dual_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
-    """The dual unit ball with exact extreme points, kept per map and basis.
+    """The dual unit ball with exact extreme points, kept on the basis.
 
-    Every call for the same map and basis returns the same ball; the
-    enumeration cap is re-checked against the kept item count.
+    Every call with the same basis object returns the same ball, for the
+    basis's lifetime; the enumeration cap is re-checked against the kept
+    item count.  Raises InternalError for a basis of another map.
     """
     return _memo_ball(wmap, basis)
 

@@ -188,6 +188,9 @@ class WallSystemMap:
         self.vertex_count = int(vertex_count)
         self.rotations = rotations
         self.edges = edges
+        # results derived from this map (Eulerian items, auto basis), kept
+        # for its lifetime; not part of equality, hash or repr
+        self._memo: dict = {}
         self._validate()
 
     # -- validation -------------------------------------------------------
@@ -390,12 +393,6 @@ class WallSystemMap:
             right = face_of[head]
             ends.append((right, left))
         return DualGraph(len(self.faces), tuple(ends))
-
-    def face_left(self, edge: int) -> int:
-        return self.dual_graph.ends[edge][1]
-
-    def face_right(self, edge: int) -> int:
-        return self.dual_graph.ends[edge][0]
 
     # -- serialization -------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 All comparisons are exact; the timed criteria measure fresh computations
-(the enumeration caches and the dual-ball memo are cleared first).
+(each builds its own maps, and results are kept only on those objects).
 """
 
 import random
@@ -30,8 +30,6 @@ from wallnorm import (
     seed_values,
     verify_min_equals_max,
 )
-from wallnorm import coorient as coorient_module
-from wallnorm import normball as normball_module
 from wallnorm.fixtures import (
     genus2_example,
     grid_basis,
@@ -53,15 +51,8 @@ def criterion(num, name):
     print(f"criterion {num} ({name}): PASS")
 
 
-def clear_enumeration_caches():
-    coorient_module._eulerian_cache.clear()
-    coorient_module._class_cache.clear()
-    normball_module._ball_cache.clear()
-
-
 def test_criterion_1_torus_grid_norm():
     with criterion(1, "torus grid norm"):
-        clear_enumeration_caches()
         start = time.monotonic()
         g22 = grid_map(2, 2)
         b22 = grid_basis(g22, 2, 2)
@@ -75,7 +66,6 @@ def test_criterion_1_torus_grid_norm():
 
 def test_criterion_2_min_equals_max():
     with criterion(2, "min = max duality"):
-        clear_enumeration_caches()
         start = time.monotonic()
         for m, n, radius in ((1, 1, 3), (2, 2, 3), (2, 3, 2)):
             wmap = grid_map(m, n)
@@ -128,7 +118,6 @@ def test_criterion_4_lattice_realization():
 
 def test_criterion_5_birkhoff_classification():
     with criterion(5, "Birkhoff classification"):
-        clear_enumeration_caches()
         start = time.monotonic()
         g11 = grid_map(1, 1)
         report11 = classify(g11, grid_basis(g11, 1, 1))

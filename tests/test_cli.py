@@ -170,7 +170,7 @@ def test_dropped_options_are_usage_errors(workdir):
 
 
 def test_reports_never_solve_an_lp(workdir, monkeypatch, capsys):
-    from wallnorm import dual_ball, homology_basis, normball, simplex
+    from wallnorm import dual_ball, homology_basis, simplex
     from wallnorm.fixtures import genus2_example
 
     genus2 = genus2_example()
@@ -181,7 +181,7 @@ def test_reports_never_solve_an_lp(workdir, monkeypatch, capsys):
         raise AssertionError("the linear program ran on a production path")
 
     monkeypatch.setattr(simplex, "solve_lp", refuse)
-    monkeypatch.setattr(normball, "_ball_cache", {})  # build every ball afresh
+    # each CLI run parses its own map and basis, so it builds every ball afresh
     g22 = ["--basis", str(workdir / "G22.basis")]
     for wall, target, extra in (("G22.wall", (0, 0), g22), ("genus2.wall", vertex, [])):
         path = str(workdir / wall)
@@ -266,19 +266,16 @@ def test_wrong_coordinate_count_is_usage_error(workdir, capsys):
 
 def test_enum_cap_env(workdir, monkeypatch):
     monkeypatch.setenv("WALLNORM_MAX_ENUM", "3")
-    # a fresh map avoids the enumeration cache keyed by digest
+    # each CLI run parses its own map, so the enumeration starts cold
     (workdir / "G13.wall").write_text(grid_text(1, 3))
     code, _ = run_cli(["coorientations", str(workdir / "G13.wall")])
     assert code == 1
 
 
 def test_enum_cap_env_warm(workdir, monkeypatch, capsys):
-    from wallnorm import coorient, dual_ball, homology_basis, norm, normball
+    from wallnorm import dual_ball, homology_basis, norm
     from wallnorm.errors import ResourceLimit
 
-    for module, cache in ((coorient, "_eulerian_cache"), (coorient, "_class_cache"),
-                          (normball, "_ball_cache")):
-        monkeypatch.setattr(module, cache, {})
     wall = workdir / "G13.wall"
     wall.write_text(grid_text(1, 3))
     wmap = parse_wall_system(wall.read_text())
@@ -295,7 +292,7 @@ def test_enum_cap_env_warm(workdir, monkeypatch, capsys):
 
     monkeypatch.setenv("WALLNORM_MAX_ENUM", "3")
     refused()  # cold: nothing is kept
-    assert normball._ball_cache == {}
+    assert basis._memo == {}
     monkeypatch.delenv("WALLNORM_MAX_ENUM")
     ball = dual_ball(wmap, basis)
     monkeypatch.setenv("WALLNORM_MAX_ENUM", "3")

@@ -31,7 +31,7 @@ from wallnorm.fixtures import (
     random_wall_system,
 )
 from wallnorm.homology import set_user_basis
-from wallnorm.surface_map import concat_closed_walks, reverse_walk
+from wallnorm.surface_map import concat_closed_walks, parse_wall_system, reverse_walk
 
 from conftest import random_closed_walk
 
@@ -143,13 +143,37 @@ def test_resource_limit():
 def test_resource_limit_cold_and_warm():
     wmap = grid_map(2, 3)
     basis = homology_basis(wmap)
-    coorient_module._eulerian_cache.pop(wmap.digest, None)
     with pytest.raises(ResourceLimit):
         enumerate_eulerian(wmap, basis, limit=5)
-    assert enumerate_eulerian(wmap, basis).count == 44  # now cached
+    assert enumerate_eulerian(wmap, basis).count == 44  # now kept on the map
     with pytest.raises(ResourceLimit):
         enumerate_eulerian(wmap, basis, limit=5)
     assert enumerate_eulerian(wmap, basis, limit=44).count == 44
+
+
+def test_enumeration_is_kept_per_map_object(monkeypatch):
+    searched = []
+    search = coorient_module._search_eulerian
+
+    def counted(wmap, cap):
+        searched.append(wmap)
+        return search(wmap, cap)
+
+    monkeypatch.setattr(coorient_module, "_search_eulerian", counted)
+    wmap = grid_map(2, 3)
+    auto, grid = homology_basis(wmap), grid_basis(wmap, 2, 3)
+    eul_auto = enumerate_eulerian(wmap, auto)
+    eul_grid = enumerate_eulerian(wmap, grid)
+    assert len(searched) == 1  # both bases share the items kept on the map
+    assert eul_grid.items is eul_auto.items
+    for eul, basis in ((eul_auto, auto), (eul_grid, grid)):
+        assert eul.classes == Counter(class_of(wmap, c, basis) for c in eul.items)
+    assert eul_auto.classes != eul_grid.classes
+    assert enumerate_eulerian(wmap, auto).classes is eul_auto.classes
+    again = parse_wall_system(wmap.canonical_text)
+    assert again == wmap and again is not wmap
+    assert enumerate_eulerian(again).items == eul_auto.items
+    assert len(searched) == 2  # an equal map parsed anew enumerates anew
 
 
 def test_brunella(g11, g22, genus2, one_curve, random_maps):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -16,7 +18,6 @@ from wallnorm import (
     norm,
     norm_rational,
 )
-from wallnorm import normball
 from wallnorm.errors import DegenerateBall, InternalError
 from wallnorm.fixtures import (
     four_geodesic_example,
@@ -104,11 +105,44 @@ def test_norm_equals_max_over_all_classes():
 
 def test_norm_refuses_a_ball_without_extreme_points(g22, b22, monkeypatch):
     empty = DualBall(points=((0, 0),), extreme=(), dim=2)
-    monkeypatch.setattr(normball, "_ball_cache", {(g22.digest, b22.signature): (1, empty)})
+    monkeypatch.setitem(b22._memo, "ball", (1, empty))
     with pytest.raises(InternalError, match="no extreme points"):
         norm(g22, b22, (1, 0))
     with pytest.raises(InternalError, match="no extreme points"):
         norm_rational(g22, b22, (Fraction(1, 2), 0))
+
+
+def test_kept_results_die_with_their_map_and_basis():
+    wmap = grid_map(2, 3)
+    basis = homology_basis(wmap)
+    item = weakref.ref(enumerate_eulerian(wmap, basis).items[0])
+    ball = weakref.ref(dual_ball(wmap, basis))
+    assert item() is not None and ball() is not None
+    del wmap, basis
+    gc.collect()
+    assert item() is None
+    assert ball() is None
+
+
+def test_basis_of_another_map_is_refused():
+    g22, g14 = grid_map(2, 2), grid_map(1, 4)
+    b14 = homology_basis(g14)
+
+    def refused():
+        for call in (lambda: enumerate_eulerian(g22, b14), lambda: dual_ball(g22, b14),
+                     lambda: norm(g22, b14, (1, 0))):
+            with pytest.raises(InternalError, match="different map"):
+                call()
+
+    refused()  # cold
+    assert b14._memo == {}
+    assert len(enumerate_eulerian(g14, b14).classes) == 10
+    assert dual_ball(g14, b14).wmap is g14
+    refused()  # warm
+    assert len(enumerate_eulerian(g14, b14).classes) == 10
+    assert len(enumerate_eulerian(g22).classes) == 9
+    # with an equal map parsed anew the basis is accepted
+    assert len(enumerate_eulerian(grid_map(1, 4), b14).classes) == 10
 
 
 def test_dual_ball_g11(g11, b11):
