@@ -5,8 +5,9 @@ The package computes, with integer and rational arithmetic only:
 * combinatorial maps of wall systems (rotation systems with 4-valent
   vertices) and their faces, curves, and dual graphs,
 * integer homology bases of the dual cell structure,
-* Eulerian coorientations: tests, exhaustive enumeration, and the named
-  checkerboard and per-curve constructions,
+* Eulerian coorientations: tests, exhaustive enumeration, the named
+  checkerboard and per-curve constructions, and one maximizing a linear
+  pairing of its class (negative-cycle cancelling),
 * the intersection norm via maximization over Eulerian classes, and its
   dual unit ball with exact extreme points,
 * the highest eikonal extension of a target class as an exact
@@ -72,6 +73,7 @@ from .coorient import (
     evaluate,
     is_eulerian,
     iter_eulerian,
+    support_coorientation,
     vertex_kind,
 )
 from .normball import (

@@ -14,6 +14,7 @@ import os
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import product
+from operator import mul
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -261,6 +262,85 @@ def classes_of(items: Sequence[Coorientation], basis: HomologyBasis) -> Iterator
     for start in range(0, len(items), _CLASS_BLOCK):
         block = np.array([c.signs for c in items[start:start + _CLASS_BLOCK]], dtype=np.int64)
         yield from map(tuple, (block @ counts).tolist())
+
+
+def support_coorientation(
+    wmap: WallSystemMap, basis: HomologyBasis, direction: Sequence[int]
+) -> tuple[Coorientation, Coords]:
+    """An Eulerian coorientation whose class maximizes the pairing with `direction`.
+
+    Eulerian coorientations are the orientations of the 4-valent wall graph
+    with two darts out at every vertex: circulations under a totally
+    unimodular network matrix.  Starting from the coorientation that runs
+    along every curve, directed cycles of negative weight, the weight of an
+    edge being its sign times c_e = sum_i direction_i * cycle_edge_counts[i][e],
+    are found by Bellman-Ford and reversed, each raising the pairing by
+    twice the weight.  With no such cycle left the circulation is optimal
+    even among fractional ones, so the pairing is the support function of
+    the dual ball.  Returns the coorientation and its class.
+    """
+    counts = basis.cycle_edge_counts
+    if len(direction) != len(counts):
+        raise ValueError(f"direction must have {len(counts)} coordinates")
+    _check_basis_map(wmap, basis)
+    costs = [sum(d * row[e] for d, row in zip(direction, counts)) for e in range(wmap.edge_count)]
+    signs = [0] * wmap.edge_count
+    for curve in wmap.curves:  # each curve is a closed trail, so this start is Eulerian
+        for d in curve.darts:
+            signs[wmap.dart_edge[d]] = wmap.kappa(d)
+    ends = [(wmap.dart_vertex[t], wmap.dart_vertex[h]) for t, h in wmap.edges]
+    nodes = wmap.vertex_count
+    while True:
+        # arcs along the current orientation: (from, to, weight, edge)
+        arcs = [
+            (u, v, c, e) if s > 0 else (v, u, -c, e)
+            for e, ((u, v), c, s) in enumerate(zip(ends, costs, signs))
+        ]
+        dist = [0] * nodes  # a virtual source reaches every vertex at weight 0
+        parent: list[tuple[int, int] | None] = [None] * nodes
+        cycle = None
+        while cycle is None:  # Bellman-Ford rounds
+            changed = False
+            for u, v, w, e in arcs:
+                if dist[u] + w < dist[v]:
+                    dist[v] = dist[u] + w
+                    parent[v] = (u, e)
+                    changed = True
+            if not changed:
+                signs = tuple(signs)
+                return Coorientation._unchecked(signs), tuple(
+                    sum(map(mul, row, signs)) for row in counts
+                )
+            cycle = _parent_cycle(parent)
+        for e in cycle:
+            signs[e] = -signs[e]
+
+
+def _parent_cycle(parent: list) -> list | None:
+    """The labels of a cycle of Bellman-Ford parent pointers (u, label), or None.
+
+    Every such cycle has negative weight; one shows up by round n when a
+    negative cycle exists, usually much earlier.
+    """
+    state = [0] * len(parent)  # 0 unseen, 1 on the current chain, 2 done
+    for start in range(len(parent)):
+        chain = []
+        node = start
+        while node is not None and not state[node]:
+            state[node] = 1
+            chain.append(node)
+            node = parent[node][0] if parent[node] else None
+        if node is not None and state[node] == 1:
+            labels = []
+            here = node
+            while True:
+                here, label = parent[here]
+                labels.append(label)
+                if here == node:
+                    return labels
+        for node in chain:
+            state[node] = 2
+    return None
 
 
 def checkerboard_coorientation(wmap: WallSystemMap) -> Coorientation:

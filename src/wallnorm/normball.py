@@ -3,10 +3,16 @@
 The norm of an integer class is the maximum of its pairing with the
 classes of all Eulerian coorientations; the dual unit ball is the convex
 hull of those classes, so the maximum is attained at an extreme point.
-Everything is decided exactly by the highest potential of ``eikonal``, an
-integer shortest-path computation on the dual graph: the position of a
-lattice point (outside, boundary, interior), and the extreme points, the
-class points whose tight closed dual walks span full rank.  The ball is
+At genus one the ball is a polygon walked with
+``coorient.support_coorientation``, a min-cost Eulerian circulation that
+maximizes one pairing: its vertices are the extreme points, and the
+class points are the lattice points congruent to the crossing parity
+class inside it.  Nothing is enumerated there.  At higher genus the
+class points come from the enumeration, and the highest potential of
+``eikonal``, an integer shortest-path computation on the dual graph,
+finds the extreme points among them: the class points whose tight closed
+dual walks span full rank.  The same potential decides the position of a
+lattice point (outside, boundary, interior) at every genus.  The ball is
 built once per basis and kept on it; norm queries maximize over its
 extreme points.  Areas come from the shoelace formula.
 """
@@ -20,10 +26,14 @@ from functools import cmp_to_key
 from operator import mul
 from typing import Sequence
 
-from .coorient import _check_cap, enumerate_eulerian
+import numpy as np
+
+from .coorient import (
+    _check_cap, class_of, enumerate_eulerian, is_eulerian, support_coorientation,
+)
 from .eikonal import highest_potential
 from .errors import DegenerateBall, InternalError
-from .homology import Coords, HomologyBasis, _check_basis_map
+from .homology import Coords, HomologyBasis, _check_basis_map, gamma_parity
 from .simplex import affine_dimension
 from .surface_map import WallSystemMap
 
@@ -120,17 +130,83 @@ def _ccw_compare(p: Coords, q: Coords) -> int:
     return 0
 
 
-def _build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[int, DualBall]:
-    """The Eulerian item count and the dual ball, with exact extreme points.
+def _support_vertex(wmap: WallSystemMap, basis: HomologyBasis, d: Coords) -> Coords:
+    """The vertex of the genus-one ball maximizing d, ties broken by d turned left.
 
-    A class point is extreme iff the ball's normal cone there is
-    full-dimensional, i.e. its highest potential has full normal rank.
+    The cost M*d + t with t = d turned a quarter left and M above every
+    |t.(p - q)| orders classes by d first and t second, so the maximizer is
+    unique: a vertex.  The coorientation behind it is re-checked.
     """
-    eul = enumerate_eulerian(wmap, basis)
-    points = eul.distinct_classes()
-    extreme = tuple(
-        p for p in points if highest_potential(wmap, basis, p).normal_rank == basis.rank
+    turned = (-d[1], d[0])
+    bound = 2 * sum(abs(t) * sum(map(abs, row)) for t, row in zip(turned, basis.cycle_edge_counts))
+    coor, cls = support_coorientation(
+        wmap, basis, tuple((bound + 1) * a + t for a, t in zip(d, turned))
     )
+    if not is_eulerian(wmap, coor) or class_of(wmap, coor, basis) != cls:
+        raise InternalError(f"the support coorientation for {d} does not carry its class")
+    return cls
+
+
+def _genus_one_ball(
+    wmap: WallSystemMap, basis: HomologyBasis
+) -> tuple[tuple[Coords, ...], tuple[Coords, ...]]:
+    """Class points and extreme points of a rank-2 ball, walked with the support oracle.
+
+    The vertices in the directions +-e1, +-e2 start a counterclockwise
+    polygon; the outward normal of each side either finds a vertex beyond
+    it, which is inserted, or confirms the side.  The class points are the
+    lattice points congruent to the parity class inside the polygon.
+    """
+    vertices = sorted(
+        {_support_vertex(wmap, basis, d) for d in ((1, 0), (0, 1), (-1, 0), (0, -1))},
+        key=cmp_to_key(_ccw_compare),
+    )
+    k = 0
+    while k < len(vertices):
+        p, q = vertices[k], vertices[(k + 1) % len(vertices)]
+        normal = (q[1] - p[1], p[0] - q[0])
+        r = _support_vertex(wmap, basis, normal)
+        if sum(map(mul, normal, r)) > sum(map(mul, normal, p)):
+            vertices.insert(k + 1, r)
+        else:
+            k += 1
+    parity = gamma_parity(wmap, basis)
+    sides = list(zip(vertices, vertices[1:] + vertices[:1]))
+    (x0, x1), (y0, y1) = (
+        (min(v[i] for v in vertices), max(v[i] for v in vertices)) for i in (0, 1)
+    )
+    points = tuple(
+        (x, y)
+        for x in range(x0 + (x0 - parity[0]) % 2, x1 + 1, 2)
+        for y in range(y0 + (y0 - parity[1]) % 2, y1 + 1, 2)
+        if all((q[0] - p[0]) * (y - p[1]) >= (q[1] - p[1]) * (x - p[0]) for p, q in sides)
+    )
+    return points, tuple(sorted(vertices))
+
+
+def _build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[int | None, DualBall]:
+    """The Eulerian item count (None when nothing was enumerated) and the dual ball.
+
+    At genus one the polygon is walked with the support oracle and nothing
+    is enumerated.  At higher genus the class points come from the
+    enumeration, and a class point is extreme iff the ball's normal cone
+    there is full-dimensional, i.e. its highest potential has full normal
+    rank; a point that is the only maximizer of its own pairing is an
+    exposed vertex and skips that test.
+    """
+    if basis.rank == 2:
+        count = None
+        points, extreme = _genus_one_ball(wmap, basis)
+    else:
+        eul = enumerate_eulerian(wmap, basis)
+        count, points = eul.count, eul.distinct_classes()
+        array = np.array(points, dtype=np.int64)
+        gram = array @ array.T
+        exposed = (gram >= gram.diagonal()[:, None]).sum(axis=1) == 1
+        extreme = tuple(
+            p for p, alone in zip(points, exposed.tolist())
+            if alone or highest_potential(wmap, basis, p).normal_rank == basis.rank
+        )
     dim = affine_dimension(points)
     polygon = None
     area = None
@@ -142,7 +218,7 @@ def _build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[int, DualBal
             for i in range(len(polygon))
         )
         area = abs(Fraction(twice, 2))
-    return eul.count, DualBall(points, extreme, dim, polygon, area, wmap, basis)
+    return count, DualBall(points, extreme, dim, polygon, area, wmap, basis)
 
 
 def _memo_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
@@ -152,7 +228,7 @@ def _memo_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
     entry = basis._memo.get("ball")
     if entry is None:
         entry = basis._memo["ball"] = _build_ball(wmap, basis)
-    else:  # the cap acts on a kept ball as on a fresh enumeration
+    elif entry[0] is not None:  # the cap acts on a kept ball as on a fresh enumeration
         _check_cap(entry[0])
     return entry[1]
 
@@ -161,8 +237,10 @@ def dual_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
     """The dual unit ball with exact extreme points, kept on the basis.
 
     Every call with the same basis object returns the same ball, for the
-    basis's lifetime; the enumeration cap is re-checked against the kept
-    item count.  Raises InternalError for a basis of another map.
+    basis's lifetime.  Above genus one the ball comes from the enumeration,
+    and the enumeration cap is re-checked against the kept item count; the
+    genus-one ball enumerates nothing and ignores the cap.  Raises
+    InternalError for a basis of another map.
     """
     return _memo_ball(wmap, basis)
 

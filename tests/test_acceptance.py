@@ -5,6 +5,7 @@ All comparisons are exact; the timed criteria measure fresh computations
 (each builds its own maps, and results are kept only on those objects).
 """
 
+import io
 import random
 import time
 from contextlib import contextmanager
@@ -30,10 +31,13 @@ from wallnorm import (
     seed_values,
     verify_min_equals_max,
 )
+from wallnorm.cli import main
 from wallnorm.fixtures import (
     genus2_example,
     grid_basis,
+    grid_basis_text,
     grid_map,
+    grid_text,
     one_curve_example,
     random_wall_system,
 )
@@ -261,3 +265,24 @@ def test_criterion_8_eikonal_field_checks():
         assert exact.eikonal_violations(radius) == []
         assert exact.equivariance_violations(radius) == []
         assert exact.values.items() <= field.values.items()
+
+
+def test_criterion_9_large_torus_grids(tmp_path):
+    with criterion(9, "genus-one norm, ball and birkhoff on large grids"):
+        g66 = grid_map(6, 6)
+        assert norm(g66, grid_basis(g66, 6, 6), (1, 2)).value == 18
+        # G(8,8) has far more Eulerian coorientations than the enumeration cap
+        (tmp_path / "G88.wall").write_text(grid_text(8, 8))
+        (tmp_path / "G88.basis").write_text(grid_basis_text(8, 8))
+        args = [str(tmp_path / "G88.wall"), "--basis", str(tmp_path / "G88.basis")]
+        start = time.monotonic()
+        reports = {}
+        for command in (["norm", *args, "1", "2"], ["ball", *args], ["birkhoff", *args]):
+            out = io.StringIO()
+            assert main(command, out=out) == 0, command
+            reports[command[0]] = out.getvalue()
+        elapsed = time.monotonic() - start
+        assert "x = 24\n" in reports["norm"]
+        assert "count 4\nfacets 4\n" in reports["ball"]
+        assert "interior: 49\n" in reports["birkhoff"]
+        assert elapsed < 10.0, f"took {elapsed:.2f}s, budget 10s"

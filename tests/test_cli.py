@@ -273,11 +273,13 @@ def test_enum_cap_env(workdir, monkeypatch):
 
 
 def test_enum_cap_env_warm(workdir, monkeypatch, capsys):
+    # genus 2: the dual ball still comes from the enumeration (10 items)
     from wallnorm import dual_ball, homology_basis, norm
     from wallnorm.errors import ResourceLimit
+    from wallnorm.fixtures import genus2_example
 
-    wall = workdir / "G13.wall"
-    wall.write_text(grid_text(1, 3))
+    wall = workdir / "genus2.wall"
+    wall.write_text(genus2_example().canonical_text)
     wmap = parse_wall_system(wall.read_text())
     basis = homology_basis(wmap)
 
@@ -285,7 +287,7 @@ def test_enum_cap_env_warm(workdir, monkeypatch, capsys):
         with pytest.raises(ResourceLimit, match="exceeded the cap of 3"):
             dual_ball(wmap, basis)
         with pytest.raises(ResourceLimit, match="exceeded the cap of 3"):
-            norm(wmap, basis, (1, 0))
+            norm(wmap, basis, (1, 0, 0, 0))
         capsys.readouterr()
         assert run_cli(["ball", str(wall)])[0] == 1
         assert "exceeded the cap of 3" in capsys.readouterr().err
@@ -299,6 +301,25 @@ def test_enum_cap_env_warm(workdir, monkeypatch, capsys):
     refused()  # warm: the kept ball is refused as the enumeration was
     monkeypatch.delenv("WALLNORM_MAX_ENUM")
     assert dual_ball(wmap, basis) is ball
+
+
+def test_genus_one_ball_ignores_the_enum_cap(workdir, monkeypatch, capsys):
+    # the genus-one ball is walked with the support oracle, so only the
+    # enumeration itself (coorientations) meets the cap
+    from wallnorm import dual_ball, homology_basis, norm
+
+    wall = workdir / "G13.wall"
+    wall.write_text(grid_text(1, 3))
+    wmap = parse_wall_system(wall.read_text())
+    basis = homology_basis(wmap)
+    monkeypatch.setenv("WALLNORM_MAX_ENUM", "3")
+    assert len(dual_ball(wmap, basis).points) == 8  # from 16 Eulerian coorientations
+    assert norm(wmap, basis, (1, 0)).value == 1
+    assert run_cli(["ball", str(wall)])[0] == 0
+    assert run_cli(["birkhoff", str(wall)])[0] == 0
+    capsys.readouterr()
+    assert run_cli(["coorientations", str(wall)])[0] == 1
+    assert "exceeded the cap of 3" in capsys.readouterr().err
 
 
 def test_module_entry_point(workdir):

@@ -1,33 +1,45 @@
 import gc
+import io
+import math
 import random
 import weakref
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wallnorm import (
     Coorientation,
+    class_of,
     contains,
     dual_ball,
     enumerate_eulerian,
     eulerian_class_counter,
     gamma_parity,
+    highest_potential,
     homology_basis,
     is_eulerian,
     norm,
     norm_rational,
+    support_coorientation,
 )
+from wallnorm import cli, coorient, eikonal, normball
 from wallnorm.errors import DegenerateBall, InternalError
 from wallnorm.fixtures import (
     four_geodesic_example,
     genus2_example,
     grid_basis,
+    grid_basis_text,
     grid_map,
+    grid_text,
+    one_curve_example,
     random_wall_system,
 )
 from wallnorm.normball import DualBall
-from wallnorm.simplex import hull_position
+from wallnorm.simplex import affine_dimension, hull_position
 
 
 def test_norm_g22_grid_formula(g22, b22):
@@ -283,3 +295,86 @@ def test_distinct_class_count_vs_enumeration(g22, b22):
     assert eul.count == 18
     assert sum(eul.classes.values()) == eul.count
     assert len(eul.classes) == 9
+
+
+def _pairing(p, d):
+    return sum(x * y for x, y in zip(p, d))
+
+
+@cache
+def _support_cases():
+    """The differential maps and the one-curve example, with their enumerated classes."""
+    cases = _differential_maps() + [(one_curve_example(), homology_basis(one_curve_example()))]
+    return [(w, b, enumerate_eulerian(w, b).distinct_classes()) for w, b in cases]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_support_coorientation_attains_the_enumeration_max(data):
+    wmap, basis, points = data.draw(st.sampled_from(_support_cases()))
+    d = data.draw(st.lists(st.integers(-9, 9), min_size=basis.rank, max_size=basis.rank))
+    coor, cls = support_coorientation(wmap, basis, d)
+    assert is_eulerian(wmap, coor)
+    assert class_of(wmap, coor, basis) == cls
+    assert _pairing(cls, d) == max(_pairing(p, d) for p in points)
+
+
+def _enumerated_genus_one_ball(wmap, basis):
+    """points, extreme, dim, polygon, area from the enumeration and the potentials."""
+    points = enumerate_eulerian(wmap, basis).distinct_classes()
+    extreme = tuple(p for p in points if highest_potential(wmap, basis, p).normal_rank == 2)
+    dim = affine_dimension(points)
+    if dim < 2:
+        return points, extreme, dim, None, None
+    polygon = tuple(sorted(extreme, key=lambda p: math.atan2(p[1], p[0]) % (2 * math.pi)))
+    twice = sum(
+        p[0] * q[1] - q[0] * p[1] for p, q in zip(polygon, polygon[1:] + polygon[:1])
+    )
+    return points, extreme, dim, polygon, Fraction(abs(twice), 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_genus_one_ball_equals_the_enumerated_ball(seed):
+    rng = random.Random(seed)
+    wmap = random_wall_system(rng.randint(2, 6), rng)
+    while wmap.genus != 1:
+        wmap = random_wall_system(rng.randint(2, 6), rng)
+    basis = homology_basis(wmap)
+    ball = dual_ball(wmap, basis)
+    assert (ball.points, ball.extreme, ball.dim, ball.polygon, ball.g1_area) == (
+        _enumerated_genus_one_ball(wmap, basis)
+    )
+
+
+def test_genus_one_ball_never_enumerates(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the genus-one ball enumerated")
+
+    monkeypatch.setattr(coorient, "_search_eulerian", refuse)
+    for module in (coorient, normball, eikonal, cli):
+        monkeypatch.setattr(module, "enumerate_eulerian", refuse)
+    grids = [grid_map(m, n) for m, n in ((1, 1), (2, 3), (5, 5))]
+    for wmap in grids + [four_geodesic_example(), one_curve_example()]:
+        basis = homology_basis(wmap)
+        ball = dual_ball(wmap, basis)
+        assert norm(wmap, basis, (1, 2)).value == max(_pairing(p, (1, 2)) for p in ball.extreme)
+    (tmp_path / "G34.wall").write_text(grid_text(3, 4))
+    (tmp_path / "G34.basis").write_text(grid_basis_text(3, 4))
+    args = [str(tmp_path / "G34.wall"), "--basis", str(tmp_path / "G34.basis")]
+    for command in (["norm", *args, "1", "2"], ["ball", *args], ["ball", *args, "--all-classes"],
+                    ["ball", *args, "--area"], ["birkhoff", *args], ["svg", *args]):
+        assert cli.main(command, out=io.StringIO()) == 0, command
+
+
+def test_genus_one_ball_rechecks_each_vertex(monkeypatch):
+    real = normball.support_coorientation
+
+    def wrong_class(wmap, basis, d):
+        coor, cls = real(wmap, basis, d)
+        return coor, (cls[0] + 2, cls[1])
+
+    monkeypatch.setattr(normball, "support_coorientation", wrong_class)
+    g22 = grid_map(2, 2)
+    with pytest.raises(InternalError, match="does not carry its class"):
+        dual_ball(g22, homology_basis(g22))
