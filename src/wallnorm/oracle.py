@@ -4,8 +4,11 @@ The minimum side of the norm is computed directly: shortest closed dual
 walks of a prescribed class are found by breadth-first search in the
 maximal abelian cover (states are a face plus an integer class vector,
 truncated to a box), and minima over multi-curves by a decomposition
-dynamic program over the class box.  Truncation is guarded empirically:
-a value is only accepted when growing the radius by one does not improve it.
+dynamic program over the class box.  Each search stops at the first level
+that labels every class of the radius box at its base face: a BFS level is
+final when first assigned, so the tables equal those of a full sweep of the
+truncation box.  Truncation is guarded empirically: a value is only
+accepted when growing the radius by one does not improve it.
 
 This module never consults the Eulerian maximization; the two sides meet
 only in ``verify_min_equals_max``.
@@ -75,13 +78,17 @@ def _cover_moves(basis: HomologyBasis, h: int) -> dict[int, list[tuple[int, tupl
 
 
 def _distances(
-    wmap: WallSystemMap, basis: HomologyBasis, h: int, base_face: int, moves: dict
+    wmap: WallSystemMap, basis: HomologyBasis, h: int, base_face: int, moves: dict,
+    targets: np.ndarray | None = None,
 ) -> np.ndarray:
     """BFS distances from (base_face, 0) over the box |h_i| <= h (flat layout).
 
     A state gets its level as soon as a move discovers it, so later moves of
     the same level skip it and a frontier needs no deduplication.  ``moves``
-    is ``_cover_moves(basis, h)``, shared across base faces.
+    is ``_cover_moves(basis, h)``, shared across base faces.  With ``targets``
+    (flat state indices) the search stops after the first level that leaves
+    every target labelled: those distances are final, and states the search
+    has not reached yet stay -1.  Without it the whole box is swept.
     """
     side = 2 * h + 1
     box = side**basis.rank
@@ -108,6 +115,8 @@ def _distances(
                 dist[sel] = level
                 parts.append(sel)
         frontier = np.concatenate(parts)
+        if targets is not None and (dist[targets] >= 0).all():
+            break
     return dist
 
 
@@ -118,13 +127,18 @@ def _box_classes(rank: int, radius: int) -> list[Coords]:
 def _single_cycle_table(
     wmap: WallSystemMap, basis: HomologyBasis, radius: int, h: int
 ) -> dict[Coords, tuple[float, int]]:
-    """Per class in the radius box: (min closed-walk length, base face), inf if none."""
+    """Per class in the radius box: (min closed-walk length, base face), inf if none.
+
+    The BFS from base face f0 stops once it has labelled every lift (f0, c)
+    of the radius box, long before a small radius sweeps the truncation box.
+    """
     side = 2 * h + 1
     moves = _cover_moves(basis, h)
     table = {c: (math.inf, -1) for c in _box_classes(basis.rank, radius)}
     lifts = np.array([sum((ci + h) * side**i for i, ci in enumerate(c)) for c in table])
     for f0 in range(len(wmap.faces)):
-        dist = _distances(wmap, basis, h, f0, moves)[f0 * side**basis.rank + lifts]
+        targets = f0 * side**basis.rank + lifts
+        dist = _distances(wmap, basis, h, f0, moves, targets)[targets]
         for (c, (best, _)), d in zip(table.items(), dist.tolist()):
             if 0 <= d < best:
                 table[c] = (d, f0)

@@ -1,3 +1,4 @@
+import math
 import operator
 import os
 import random
@@ -283,6 +284,71 @@ def test_cover_distances_match_dict_bfs(g11, b11, g22, b22, genus2, genus2_basis
                 for (face, vec), d in _dict_distances(basis, h, f0).items():
                     expected[face * box + sum((c + h) * side**i for i, c in enumerate(vec))] = d
                 assert np.array_equal(oracle._distances(wmap, basis, h, f0, moves), expected)
+
+
+def _full_sweep_table(wmap, basis, radius, h):
+    """The single-cycle table read off full _distances tables (no targets)."""
+    side = 2 * h + 1
+    box = side**basis.rank
+    moves = oracle._cover_moves(basis, h)
+    dists = [oracle._distances(wmap, basis, h, f0, moves) for f0 in range(len(wmap.faces))]
+    table = {}
+    for c in oracle._box_classes(basis.rank, radius):
+        lift = sum((ci + h) * side**i for i, ci in enumerate(c))
+        found = [(int(d[f0 * box + lift]), f0) for f0, d in enumerate(dists)
+                 if d[f0 * box + lift] >= 0]
+        table[c] = min(found) if found else (math.inf, -1)
+    return table
+
+
+def test_cover_search_stops_early_and_exactly(g11, b11, g22, b22, genus2, genus2_basis):
+    # the maps, bases and truncations of test_cover_distances_match_dict_bfs
+    four = fixtures.four_geodesic_example()
+    auto = homology_basis(g22)
+    w1, w2 = auto.cycles
+    skew = set_user_basis(g22, (concat_closed_walks(g22.dual_graph, w1, w2, w2), w2))
+    cases = [(g11, b11), (g22, b22), (g22, skew), (four, homology_basis(four)),
+             (genus2, genus2_basis)]
+    cases += [(m, homology_basis(m)) for m in
+              (_random_map(3, 2, 1), _random_map(4, 2, 1), _random_map(5, 3, 3))]
+    for wmap, basis in cases:
+        truncations = [1, 2, 3]
+        if basis.rank <= 4:
+            truncations.append(oracle.default_truncation(basis, 1))
+        for h in truncations:
+            assert oracle._single_cycle_table(wmap, basis, 1, h) == \
+                _full_sweep_table(wmap, basis, 1, h)
+    # verify --box 1 on genus2 (one face) reads the 81 classes at truncation 7:
+    # all are labelled by level 4, far short of the 50 625 states of the box
+    h = oracle.default_truncation(genus2_basis, 1)
+    side = 2 * h + 1
+    lifts = np.array([sum((ci + h) * side**i for i, ci in enumerate(c))
+                      for c in oracle._box_classes(genus2_basis.rank, 1)])
+    moves = oracle._cover_moves(genus2_basis, h)
+    dist = oracle._distances(genus2, genus2_basis, h, 0, moves, lifts)
+    assert (h, len(genus2.faces), dist.size) == (7, 1, 50_625)
+    assert (dist[lifts] >= 0).all()
+    assert np.count_nonzero(dist >= 0) < dist.size
+    assert dist.max() == 4
+
+
+@pytest.mark.parametrize("seed, a, components, walks", [
+    (17, (0, 2, -2, 0), [(0, 0, -2, 0), (0, 1, 0, 0), (0, 1, 0, 0)],
+     [((8, -1), (8, -1)), ((0, 1),), ((0, 1),)]),
+    (27, (-2, 0, -2, -2), [(-2, 2, -2, -2), (0, -2, 0, 0)],
+     [((4, -1), (4, -1)), ((9, -1), (9, -1))]),
+])
+def test_composite_class_certificate(seed, a, components, walks):
+    # a minimum reached only by a sum of closed walks: pins the DP's choice
+    wmap = random_wall_system(6, random.Random(seed))
+    basis = homology_basis(wmap)
+    value, cert = min_multicurve(wmap, basis, a)
+    assert value == 4
+    assert cert.total_class == a
+    assert cert.total_length == 4
+    assert [c for _, c, _ in cert.cycles] == components
+    assert [w for w, _, _ in cert.cycles] == walks
+    assert [length for _, _, length in cert.cycles] == [len(w) for w in walks]
 
 
 def test_cold_verify_does_not_import_numpy_ma(tmp_path):
