@@ -4,7 +4,17 @@ Subcommands: info, coorientations, classes, ball, norm, oracle, verify,
 realize, birkhoff, svg, fixture.  Text reports are byte-deterministic for
 identical inputs; every class-reporting command takes ``--basis FILE`` and
 echoes the active basis in its header.  Domain errors exit with status 1
-and the error name; usage errors exit with status 2.
+and the error name; usage errors, non-positive ``--box``, ``--radius`` and
+``--max-enum`` among them, exit with status 2.
+
+Each subcommand's arguments are defined once, in ``_SUBCOMMANDS`` (name ->
+help line and the function that adds its arguments).  ``build_parser``
+assembles the full ``wallnorm`` parser from that table.  A request that
+names a subcommand is parsed by that subcommand's parser alone, since
+building all of them is a large share of a one-shot request; it falls back
+to the full parser when arguments are left over, and for an empty argv, a
+leading option or an unknown subcommand, so that usage, help and errors
+are the full parser's, byte for byte.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ class RunConfig:
         for key in ("radius", "box", "max_enum"):
             value = self.options.get(key)
             if value is not None and value <= 0:
-                raise WallNormError(f"--{key.replace('_', '-')} must be positive")
+                raise ValueError(f"--{key.replace('_', '-')} must be positive")
 
 
 def _load(config: RunConfig) -> tuple[WallSystemMap, HomologyBasis]:
@@ -258,82 +268,130 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wallnorm",
-        description="Exact intersection norms of wall systems on surfaces.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _with_map(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", help="wall-system file")
+    p.add_argument("--basis", help="basis file (defaults to the computed basis)")
 
-    def with_map(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        p.add_argument("input", help="wall-system file")
-        p.add_argument("--basis", help="basis file (defaults to the computed basis)")
-        return p
 
-    with_map(sub.add_parser("info", help="V, E, F, genus, curves, parity"))
-
-    p = with_map(sub.add_parser("coorientations", help="enumerate Eulerian coorientations"))
+def _coorientations_args(p: argparse.ArgumentParser) -> None:
+    _with_map(p)
     p.add_argument("--classes", action="store_true", help="also print the class multiset")
     p.add_argument("--list", dest="list_dir", help="write one coorientation file per item")
     p.add_argument("--max-enum", type=int, help="enumeration cap")
 
-    with_map(sub.add_parser("classes", help="Eulerian class multiset"))
 
-    p = with_map(sub.add_parser("ball", help="dual unit ball"))
+def _ball_args(p: argparse.ArgumentParser) -> None:
+    _with_map(p)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--extreme", action="store_true", help="extreme points (default)")
     group.add_argument("--all-classes", action="store_true", help="all class points")
     group.add_argument("--area", action="store_true", help="exact area (genus one)")
 
-    p = with_map(sub.add_parser("norm", help="intersection norm of an integer class"))
+
+def _norm_args(p: argparse.ArgumentParser) -> None:
+    _with_map(p)
     p.add_argument("coords", type=int, nargs="+", help="class coordinates a1 .. a2g")
 
-    p = with_map(sub.add_parser("oracle", help="brute-force minimum with certificate"))
+
+def _oracle_args(p: argparse.ArgumentParser) -> None:
+    _with_map(p)
     p.add_argument("coords", type=int, nargs="+")
     p.add_argument("--radius", type=int, help="cover truncation radius")
     p.add_argument("--certificate", action="store_true")
 
-    p = with_map(sub.add_parser("verify", help="oracle vs max formula over a box"))
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    _with_map(p)
     p.add_argument("--box", type=int, required=True, help="coordinate box radius")
 
-    p = with_map(sub.add_parser("realize", help="realize a class as a coorientation"))
+
+def _realize_args(p: argparse.ArgumentParser) -> None:
+    _with_map(p)
     p.add_argument("coords", type=int, nargs="+")
     p.add_argument("--out", help="write the coorientation file here")
     p.add_argument("--method", choices=("auto", "lookup"), default="auto")
 
-    p = with_map(sub.add_parser("birkhoff", help="classify Birkhoff cross sections"))
+
+def _birkhoff_args(p: argparse.ArgumentParser) -> None:
+    _with_map(p)
     p.add_argument("--json-report", dest="json_report", help="also write a JSON report")
 
-    p = with_map(sub.add_parser("svg", help="render the genus-one dual ball"))
+
+def _svg_args(p: argparse.ArgumentParser) -> None:
+    _with_map(p)
     p.add_argument("--out", help="output file (stdout otherwise)")
 
-    p = sub.add_parser("fixture", help="emit a torus grid wall system G(m,n)")
+
+def _fixture_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("m", type=int, help="number of horizontal circles")
     p.add_argument("n", type=int, help="number of vertical circles")
     p.add_argument("--out", help="output file (stdout otherwise)")
     p.add_argument("--basis-out", dest="basis_out", help="also write the grid basis file")
 
+
+# subcommand -> (help line, adder of its arguments), in the order `wallnorm -h` lists them
+_SUBCOMMANDS = {
+    "info": ("V, E, F, genus, curves, parity", _with_map),
+    "coorientations": ("enumerate Eulerian coorientations", _coorientations_args),
+    "classes": ("Eulerian class multiset", _with_map),
+    "ball": ("dual unit ball", _ball_args),
+    "norm": ("intersection norm of an integer class", _norm_args),
+    "oracle": ("brute-force minimum with certificate", _oracle_args),
+    "verify": ("oracle vs max formula over a box", _verify_args),
+    "realize": ("realize a class as a coorientation", _realize_args),
+    "birkhoff": ("classify Birkhoff cross sections", _birkhoff_args),
+    "svg": ("render the genus-one dual ball", _svg_args),
+    "fixture": ("emit a torus grid wall system G(m,n)", _fixture_args),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand of `_SUBCOMMANDS` under ``wallnorm``."""
+    parser = argparse.ArgumentParser(
+        prog="wallnorm",
+        description="Exact intersection norms of wall systems on surfaces.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the named subcommand's parser alone when nothing is left over.
+
+    ``add_parser`` gives each subparser the prog ``wallnorm <name>``, so the
+    same parser built alone prints the same help and errors.  Leftover
+    arguments are reported by the top-level parser, so they go to the full one.
+    """
+    spec = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if spec is not None:
+        parser = argparse.ArgumentParser(prog=f"wallnorm {argv[0]}")
+        spec[1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.subcommand = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     options = {k: v for k, v in vars(args).items() if k not in ("subcommand", "input", "basis")}
-    config = RunConfig(
-        args.subcommand,
-        getattr(args, "input", None),
-        getattr(args, "basis", None),
-        options,
-    )
     try:
+        config = RunConfig(
+            args.subcommand,
+            getattr(args, "input", None),
+            getattr(args, "basis", None),
+            options,
+        )
         return _COMMANDS[args.subcommand](config, out)
     except (WallNormError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        # bad argument values (wrong coordinate count, undersized radius)
+        # bad argument values (non-positive bounds, wrong coordinate count, undersized radius)
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -97,9 +97,9 @@ def norm(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence[int]) -> NormVal
     vertex, and the extreme points are in ascending order.
     """
     a = tuple(int(x) for x in a)
-    extreme = _extreme(wmap, basis)
     if len(a) != basis.rank:
         raise ValueError(f"class must have {basis.rank} coordinates")
+    extreme = _extreme(wmap, basis)
     values = [sum(map(mul, p, a)) for p in extreme]
     best = max(values)
     return NormValue(best, extreme[values.index(best)])

@@ -264,6 +264,37 @@ def test_wrong_coordinate_count_is_usage_error(workdir, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_wrong_coordinate_count_is_refused_before_the_ball(workdir, monkeypatch, capsys):
+    # genus 2: the ball would come from the enumeration, which the cap refuses
+    from wallnorm import homology_basis, norm
+    from wallnorm.fixtures import genus2_example
+
+    wall = workdir / "genus2.wall"
+    wall.write_text(genus2_example().canonical_text)
+    monkeypatch.setenv("WALLNORM_MAX_ENUM", "3")
+    wmap = parse_wall_system(wall.read_text())
+    basis = homology_basis(wmap)
+    with pytest.raises(ValueError, match="class must have 4 coordinates"):
+        norm(wmap, basis, (1, 2, 3))
+    assert basis._memo == {}
+    capsys.readouterr()
+    assert main(["norm", str(wall), "1", "2", "3"], out=io.StringIO()) == 2
+    assert capsys.readouterr().err == "usage error: class must have 4 coordinates\n"
+
+
+@pytest.mark.parametrize("args, option", [
+    (["verify", "--box", "0"], "--box"),
+    (["oracle", "4", "1", "--radius", "-1"], "--radius"),
+    (["coorientations", "--max-enum", "0"], "--max-enum"),
+])
+def test_non_positive_bounds_are_usage_errors(workdir, capsys, args, option):
+    argv = [args[0], str(workdir / "G22.wall"), *args[1:]]
+    out = io.StringIO()
+    assert main(argv, out=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == f"usage error: {option} must be positive\n"
+
+
 def test_enum_cap_env(workdir, monkeypatch):
     monkeypatch.setenv("WALLNORM_MAX_ENUM", "3")
     # each CLI run parses its own map, so the enumeration starts cold
@@ -330,6 +361,94 @@ def test_module_entry_point(workdir):
     )
     assert result.returncode == 0
     assert "V=1 E=2 F=1 genus=1" in result.stdout
+    # argv=None reads sys.argv[1:] on the per-subcommand parse too
+    args = ["norm", str(workdir / "G22.wall"), "4", "1", "--basis", str(workdir / "G22.basis")]
+    result = subprocess.run(
+        [sys.executable, "-m", "wallnorm.cli", *args], capture_output=True, text=True
+    )
+    assert result.returncode == 0
+    assert result.stdout == run_cli(args)[1]
+
+
+# one valid argv per subcommand; the parity test derives the bad ones from it
+VALID_ARGV = {
+    "info": ["info", "m.wall"],
+    "coorientations": ["coorientations", "m.wall", "--classes", "--list", "d",
+                       "--max-enum", "5", "--basis", "b"],
+    "classes": ["classes", "m.wall"],
+    "ball": ["ball", "m.wall", "--area"],
+    "norm": ["norm", "m.wall", "4", "-1", "--basis", "b"],
+    "oracle": ["oracle", "m.wall", "1", "2", "--radius", "3", "--certificate"],
+    "verify": ["verify", "m.wall", "--box", "2"],
+    "realize": ["realize", "m.wall", "0", "0", "--method", "lookup", "--out", "o"],
+    "birkhoff": ["birkhoff", "m.wall", "--json-report", "r.json"],
+    "svg": ["svg", "m.wall", "--out", "b.svg"],
+    "fixture": ["fixture", "2", "3", "--basis-out", "b"],
+}
+
+# argvs that only the full parser can answer exactly
+FULL_PARSER_ARGV = [
+    [], ["-h"], ["--basis", "b", "norm", "m.wall", "1"], ["no-such-command", "m.wall"],
+    *([*argv, "--zzz"] for argv in VALID_ARGV.values()),
+    ["info", "m.wall", "extra"],
+]
+
+PARSER_ARGV = [
+    *VALID_ARGV.values(),
+    *([name, "-h"] for name in VALID_ARGV),
+    *([name] for name in VALID_ARGV),  # missing positional
+    ["norm", "m.wall", "a"],
+    ["norm", "m.wall", "--basis"],
+    ["realize", "m.wall", "0", "0", "--method", "bad"],
+    ["ball", "m.wall", "--area", "--extreme"],
+    ["verify", "m.wall"],
+    ["oracle", "m.wall", "1", "2", "--radius"],
+    ["oracle", "m.wall", "1", "2", "--cert"],
+    ["fixture", "2", "x"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """The namespace a parse gives, or its exit code and printed text."""
+    capsys.readouterr()
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        printed = capsys.readouterr()
+        return exc.code, printed.out, printed.err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV + FULL_PARSER_ARGV, ids=" ".join)
+def test_subcommand_parse_matches_the_full_parser(argv, monkeypatch, capsys):
+    from wallnorm import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+    built = []
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(argv) or full())
+    assert _parse_outcome(cli._parse, argv, capsys) == expected
+    assert bool(built) == (argv in FULL_PARSER_ARGV)
+
+
+def test_requests_skip_the_full_parser(workdir, monkeypatch, capsys):
+    from wallnorm import cli
+
+    def refuse():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    args = ["norm", str(workdir / "G22.wall"), "4", "1", "--basis", str(workdir / "G22.basis")]
+    code, text = run_cli(args)
+    assert code == 0 and "x = 10" in text
+    with pytest.raises(AssertionError, match="full parser"):
+        run_cli([*args[:2], "1", "2", "--zzz"])
+    monkeypatch.undo()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        run_cli([*args[:2], "1", "2", "--zzz"])
+    assert info.value.code == 2
+    assert "wallnorm: error: unrecognized arguments: --zzz" in capsys.readouterr().err
 
 
 def test_console_script_installed(workdir):
