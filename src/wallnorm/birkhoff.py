@@ -8,6 +8,12 @@ sections.  No 3-dimensional surface is built: each class is certified by
 its lattice point and its topological invariants, which depend only on
 the wall system (Euler characteristic -2V, twice the number of curves
 many boundary circles).
+
+The classification enumerates nothing at any genus: the bounding box of
+the dual ball comes from 2 * rank support queries
+(``normball.bounding_box``), and the position of each congruent point
+from its highest potential, an integer shortest-path computation on the
+dual graph.
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .eikonal import highest_potential
 from .homology import Coords, HomologyBasis, gamma_parity
-from .normball import DualBall, contains, dual_ball
+from .normball import DualBall, bounding_box, contains
 from .surface_map import WallSystemMap
 
 
@@ -37,7 +44,6 @@ class ClassificationReport:
 
     map_digest: str
     basis_label: str
-    ball: DualBall
     parity: Coords
     entries: tuple[SectionClass, ...]
     interior_count: int
@@ -69,24 +75,36 @@ def classify(
     basis: HomologyBasis,
     ball: DualBall | None = None,
 ) -> ClassificationReport:
-    """Classify every congruent lattice point of the extreme-point bounding box."""
-    if ball is None:
-        ball = dual_ball(wmap, basis)
+    """Classify every congruent lattice point of the dual ball's bounding box.
+
+    A given ``ball`` supplies the box and, through ``contains``, the
+    positions.  Without one the box comes from the support queries and the
+    positions straight from the highest potentials, with no check of the
+    ball's dimension: none is needed.  The curves fill the surface, so a
+    closed dual walk of a nonzero class crosses a wall and the norm is
+    definite.  The ball is symmetric (reversing a coorientation negates its
+    class), so its affine hull is a linear subspace spanned by lattice
+    points; were it proper, some nonzero integer class v would be
+    orthogonal to it, and the norm of v, the maximum of v.p over the ball,
+    would be 0.  So the ball is full-dimensional and every position is
+    well defined.
+    """
+    box = bounding_box(wmap, basis) if ball is None else ball.bounding_box()
     parity = gamma_parity(wmap, basis)
     chi, circles, genus = section_invariants(wmap)
-    ranges = [range(lo, hi + 1) for lo, hi in ball.bounding_box()]
     entries = []
     counts = {"interior": 0, "boundary": 0, "outside": 0}
-    for point in product(*ranges):
-        if any((xi - pi) % 2 for xi, pi in zip(point, parity)):
-            continue
-        status = contains(ball, point)
+    congruent = (range(lo + (lo - p) % 2, hi + 1, 2) for (lo, hi), p in zip(box, parity))
+    for point in product(*congruent):
+        if ball is None:
+            status = highest_potential(wmap, basis, point).position
+        else:
+            status = contains(ball, point)
         counts[status] += 1
         entries.append(SectionClass(point, status, chi, circles, genus))
     return ClassificationReport(
         wmap.digest,
         basis.label,
-        ball,
         parity,
         tuple(entries),
         counts["interior"],

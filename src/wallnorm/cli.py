@@ -127,9 +127,8 @@ def cmd_ball(config: RunConfig, out) -> int:
 
 def cmd_norm(config: RunConfig, out) -> int:
     wmap, basis = _load(config)
-    a = config.options["coords"]
+    result = norm(wmap, basis, config.options["coords"])
     _header(out, wmap, basis)
-    result = norm(wmap, basis, a)
     print(f"x = {result.value}", file=out)
     print(f"witness {_coords(result.witness)}", file=out)
     return 0
@@ -137,9 +136,10 @@ def cmd_norm(config: RunConfig, out) -> int:
 
 def cmd_oracle(config: RunConfig, out) -> int:
     wmap, basis = _load(config)
-    a = config.options["coords"]
+    value, certificate = min_multicurve(
+        wmap, basis, config.options["coords"], config.options.get("radius")
+    )
     _header(out, wmap, basis)
-    value, certificate = min_multicurve(wmap, basis, a, config.options.get("radius"))
     print(f"x_min = {value}", file=out)
     if config.options.get("certificate"):
         for walk, coords, length in certificate.cycles:
@@ -166,6 +166,9 @@ def cmd_verify(config: RunConfig, out) -> int:
 def cmd_realize(config: RunConfig, out) -> int:
     wmap, basis = _load(config)
     n = config.options["coords"]
+    # a usage error leaves stdout empty; NotRealizable comes after the header
+    if len(n) != basis.rank:
+        raise ValueError(f"target class must have {basis.rank} coordinates")
     _header(out, wmap, basis)
     result = realize(wmap, basis, n, method=config.options.get("method", "auto"))
     print(f"realized {_coords(result.target)} method={result.method}", file=out)
@@ -223,9 +226,9 @@ def cmd_birkhoff(config: RunConfig, out) -> int:
 
 def cmd_svg(config: RunConfig, out) -> int:
     wmap, basis = _load(config)
-    report = classify(wmap, basis)
-    statuses = [(e.point, e.status) for e in report.entries]
-    text = render_svg(report.ball, statuses)
+    ball = dual_ball(wmap, basis)
+    report = classify(wmap, basis, ball)
+    text = render_svg(ball, [(e.point, e.status) for e in report.entries])
     out_path = config.options.get("out")
     if out_path:
         Path(out_path).write_text(text)

@@ -1,20 +1,26 @@
-"""The intersection norm through its dual unit ball.
+"""The intersection norm and its dual unit ball.
 
 The norm of an integer class is the maximum of its pairing with the
-classes of all Eulerian coorientations; the dual unit ball is the convex
-hull of those classes, so the maximum is attained at an extreme point.
-At genus one the ball is a polygon walked with
-``coorient.support_coorientation``, a min-cost Eulerian circulation that
-maximizes one pairing: its vertices are the extreme points, and the
-class points are the lattice points congruent to the crossing parity
-class inside it.  Nothing is enumerated there.  At higher genus the
-class points come from the enumeration, and the highest potential of
-``eikonal``, an integer shortest-path computation on the dual graph,
-finds the extreme points among them: the class points whose tight closed
-dual walks span full rank.  The same potential decides the position of a
-lattice point (outside, boundary, interior) at every genus.  The ball is
-built once per basis and kept on it; norm queries maximize over its
-extreme points.  Areas come from the shoelace formula.
+classes of all Eulerian coorientations: the support function of the dual
+unit ball, the convex hull of those classes.
+``coorient.support_coorientation``, a min-cost Eulerian circulation,
+computes it at any genus.  A cold ``norm`` runs it once, on a cost
+perturbed so that the maximizer is the lexicographically smallest
+maximizing class, and builds no ball; ``norm_rational`` scales its class
+to integers first; ``bounding_box`` takes one query per signed
+coordinate direction.  Once the ball is kept on the basis, norm queries
+maximize over its extreme points instead.
+
+The ball itself: at genus one it is a polygon walked with the same
+circulation; its vertices are the extreme points, and the class points
+are the lattice points congruent to the crossing parity class inside it.
+Nothing is enumerated there.  At higher genus the class points come from
+the enumeration, and the highest potential of ``eikonal``, an integer
+shortest-path computation on the dual graph, finds the extreme points
+among them: the class points whose tight closed dual walks span full
+rank.  The same potential decides the position of a lattice point
+(outside, boundary, interior) at every genus.  The ball is built once per
+basis and kept on it.  Areas come from the shoelace formula.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -82,35 +89,72 @@ def eulerian_class_counter(wmap: WallSystemMap, basis: HomologyBasis) -> Counter
     return enumerate_eulerian(wmap, basis).classes
 
 
-def _extreme(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[Coords, ...]:
-    extreme = _memo_ball(wmap, basis).extreme
+def _kept_extreme(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[Coords, ...] | None:
+    """The extreme points of the ball kept on the basis, or None when it keeps none."""
+    _check_basis_map(wmap, basis)
+    entry = basis._memo.get("ball")
+    if entry is None:
+        return None
+    extreme = entry[1].extreme
     if not extreme:
         raise InternalError("the dual ball has no extreme points")
     return extreme
 
 
 def norm(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence[int]) -> NormValue:
-    """Intersection norm of an integer class, maximized over the ball's extreme points.
+    """Intersection norm of an integer class, with the smallest maximizing class.
 
     The witness is the lexicographically smallest maximizing class: the
     maximizers form a face of the ball, whose lexicographic minimum is a
-    vertex, and the extreme points are in ascending order.
+    vertex.  A kept ball's extreme points are in ascending order, so the
+    first maximizer among them is that vertex.  Without a kept ball one
+    circulation finds it: with B = 2 * sum |cycle_edge_counts| + 1, above
+    every |p_i - q_i| between two classes, the cost
+    B^r * a - sum_i B^(r-1-i) * e_i ranks classes by a.p first and then
+    by p_1, p_2, ... ascending, so its only maximizer is the witness.
     """
     a = tuple(int(x) for x in a)
     if len(a) != basis.rank:
         raise ValueError(f"class must have {basis.rank} coordinates")
-    extreme = _extreme(wmap, basis)
+    extreme = _kept_extreme(wmap, basis)
+    if extreme is None:
+        r = basis.rank
+        big = 2 * sum(abs(x) for row in basis.cycle_edge_counts for x in row) + 1
+        witness = _support_point(
+            wmap, basis, tuple(big**r * x - big ** (r - 1 - i) for i, x in enumerate(a))
+        )
+        return NormValue(sum(map(mul, witness, a)), witness)
     values = [sum(map(mul, p, a)) for p in extreme]
     best = max(values)
     return NormValue(best, extreme[values.index(best)])
 
 
 def norm_rational(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence) -> Fraction:
-    """The norm extended to rational classes (max of linear functionals)."""
+    """The norm extended to rational classes (max of linear functionals).
+
+    Without a kept ball the class is scaled to integers, and one
+    circulation finds a maximizer of that pairing, which maximizes a's too.
+    """
     a = tuple(Fraction(x) for x in a)
     if len(a) != basis.rank:
         raise ValueError(f"class must have {basis.rank} coordinates")
-    return max(sum(map(mul, p, a)) for p in _extreme(wmap, basis))
+    extreme = _kept_extreme(wmap, basis)
+    if extreme is None:
+        scale = lcm(*(x.denominator for x in a))
+        extreme = (_support_point(wmap, basis, tuple(int(x * scale) for x in a)),)
+    return max(sum(map(mul, p, a)) for p in extreme)
+
+
+def bounding_box(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[tuple[int, int], ...]:
+    """The ball's extent per coordinate, from the support queries in the directions +-e_k.
+
+    Equal to ``dual_ball(wmap, basis).bounding_box()``, without building the ball.
+    """
+    rank = basis.rank
+    return tuple(
+        tuple(_support_point(wmap, basis, [s * (i == k) for i in range(rank)])[k] for s in (-1, 1))
+        for k in range(rank)
+    )
 
 
 def _ccw_compare(p: Coords, q: Coords) -> int:
@@ -130,21 +174,24 @@ def _ccw_compare(p: Coords, q: Coords) -> int:
     return 0
 
 
+def _support_point(wmap: WallSystemMap, basis: HomologyBasis, cost: Sequence[int]) -> Coords:
+    """A class maximizing the pairing with an integer cost, its coorientation re-checked."""
+    coor, cls = support_coorientation(wmap, basis, cost)
+    if not is_eulerian(wmap, coor) or class_of(wmap, coor, basis) != cls:
+        raise InternalError(f"the support coorientation for {cost} does not carry its class")
+    return cls
+
+
 def _support_vertex(wmap: WallSystemMap, basis: HomologyBasis, d: Coords) -> Coords:
     """The vertex of the genus-one ball maximizing d, ties broken by d turned left.
 
     The cost M*d + t with t = d turned a quarter left and M above every
     |t.(p - q)| orders classes by d first and t second, so the maximizer is
-    unique: a vertex.  The coorientation behind it is re-checked.
+    unique: a vertex.
     """
     turned = (-d[1], d[0])
     bound = 2 * sum(abs(t) * sum(map(abs, row)) for t, row in zip(turned, basis.cycle_edge_counts))
-    coor, cls = support_coorientation(
-        wmap, basis, tuple((bound + 1) * a + t for a, t in zip(d, turned))
-    )
-    if not is_eulerian(wmap, coor) or class_of(wmap, coor, basis) != cls:
-        raise InternalError(f"the support coorientation for {d} does not carry its class")
-    return cls
+    return _support_point(wmap, basis, tuple((bound + 1) * a + t for a, t in zip(d, turned)))
 
 
 def _genus_one_ball(
@@ -221,18 +268,6 @@ def _build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[int | None, 
     return count, DualBall(points, extreme, dim, polygon, area, wmap, basis)
 
 
-def _memo_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
-    # norm reads the ball here rather than through dual_ball, so that a
-    # norm query does not count as a ball construction in traced runs
-    _check_basis_map(wmap, basis)
-    entry = basis._memo.get("ball")
-    if entry is None:
-        entry = basis._memo["ball"] = _build_ball(wmap, basis)
-    elif entry[0] is not None:  # the cap acts on a kept ball as on a fresh enumeration
-        _check_cap(entry[0])
-    return entry[1]
-
-
 def dual_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
     """The dual unit ball with exact extreme points, kept on the basis.
 
@@ -242,7 +277,13 @@ def dual_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
     genus-one ball enumerates nothing and ignores the cap.  Raises
     InternalError for a basis of another map.
     """
-    return _memo_ball(wmap, basis)
+    _check_basis_map(wmap, basis)
+    entry = basis._memo.get("ball")
+    if entry is None:
+        entry = basis._memo["ball"] = _build_ball(wmap, basis)
+    elif entry[0] is not None:  # the cap acts on a kept ball as on a fresh enumeration
+        _check_cap(entry[0])
+    return entry[1]
 
 
 def contains(ball: DualBall, p: Sequence[int]) -> str:

@@ -146,35 +146,53 @@ def _single_cycle_table(
 
 
 def _dp_tables(single: dict[Coords, tuple[float, int]], radius: int):
-    """Fixpoint of M(c) = min(single(c), M(c1) + M(c - c1)) over the box."""
+    """Fixpoint of M(c) = min(single(c), M(c1) + M(c - c1)) over the box.
+
+    Gauss-Seidel sweeps over the classes in ascending order; each tries the
+    splits c1 in ascending order of the values at the sweep's start (ties
+    ascending), updates M(c) in place on every strict improvement and stops
+    at the first c1 with M(c1) + 1 >= M(c).  Classes are list indices, and
+    c - c1 is found through packed keys: with w = 4 * radius + 1 and
+    key(c) = sum_t (c_t + 2 * radius) * w**t, every digit of
+    key(c) - key(c1) + sum_t 2 * radius * w**t lies in [0, 4 * radius], so
+    it is the key of c - c1 when that lies in the box and of no class
+    otherwise.
+    """
     classes = sorted(single)
     rank = len(classes[0])
-    zero = (0,) * rank
-    m: dict[Coords, float] = {c: single[c][0] for c in classes}
+    w = 4 * radius + 1
+    keys = [sum((x + 2 * radius) * w**t for t, x in enumerate(c)) for c in classes]
+    index = {k: i for i, k in enumerate(keys)}.get
+    shift = sum(2 * radius * w**t for t in range(rank))
+    zero = index(shift)  # the key of the zero class
+    m = [single[c][0] for c in classes]
     m[zero] = 0
-    choice: dict[Coords, tuple[Coords, Coords]] = {}
+    choice: dict[int, tuple[int, int]] = {}
     changed = True
     while changed:
         changed = False
-        order = sorted(classes, key=lambda c: m[c])
-        for c in classes:
-            bound = m[c]
-            for c1 in order:
-                v1 = m[c1]
+        order = sorted(range(len(classes)), key=m.__getitem__)
+        for i, key in enumerate(keys):
+            bound = m[i]
+            key += shift
+            for j in order:
+                v1 = m[j]
                 if v1 + 1 >= bound:
                     break
-                if c1 == zero:
+                if j == zero:
                     continue
-                c2 = tuple(a - b for a, b in zip(c, c1))
-                if any(abs(x) > radius for x in c2):
+                j2 = index(key - keys[j])
+                if j2 is None:
                     continue
-                v2 = m[c2]
-                if v1 + v2 < bound:
-                    bound = v1 + v2
-                    m[c] = bound
-                    choice[c] = (c1, c2)
+                v = v1 + m[j2]
+                if v < bound:
+                    bound = m[i] = v
+                    choice[i] = (j, j2)
                     changed = True
-    return m, choice
+    return (
+        dict(zip(classes, m)),
+        {classes[i]: (classes[j], classes[j2]) for i, (j, j2) in choice.items()},
+    )
 
 
 def _bfs_walk(
@@ -359,6 +377,7 @@ def verify_min_equals_max(
         lambda cs, t: f"classes {cs[:3]}... not represented inside radius {t}",
         lambda cs, t: f"values for {cs[:3]}... still improving at {t}",
     )
+    normball.dual_ball(wmap, basis)  # kept on the basis: each norm below reads it
     discrepancies = []
     for c in sorted(m):
         expected = normball.norm(wmap, basis, c).value

@@ -265,7 +265,7 @@ def test_wrong_coordinate_count_is_usage_error(workdir, capsys):
 
 
 def test_wrong_coordinate_count_is_refused_before_the_ball(workdir, monkeypatch, capsys):
-    # genus 2: the ball would come from the enumeration, which the cap refuses
+    # genus 2, under a cap the enumeration would exceed: the count is checked first
     from wallnorm import homology_basis, norm
     from wallnorm.fixtures import genus2_example
 
@@ -280,6 +280,19 @@ def test_wrong_coordinate_count_is_refused_before_the_ball(workdir, monkeypatch,
     capsys.readouterr()
     assert main(["norm", str(wall), "1", "2", "3"], out=io.StringIO()) == 2
     assert capsys.readouterr().err == "usage error: class must have 4 coordinates\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["norm", "1", "2", "3"], "class must have 2 coordinates"),
+    (["oracle", "1", "2", "3", "--certificate"], "class must have 2 coordinates"),
+    (["realize", "0", "0", "0"], "target class must have 2 coordinates"),
+])
+def test_wrong_coordinate_count_leaves_stdout_empty(workdir, capsys, args, message):
+    argv = [args[0], str(workdir / "G22.wall"), *args[1:]]
+    out = io.StringIO()
+    assert main(argv, out=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 @pytest.mark.parametrize("args, option", [
@@ -304,7 +317,7 @@ def test_enum_cap_env(workdir, monkeypatch):
 
 
 def test_enum_cap_env_warm(workdir, monkeypatch, capsys):
-    # genus 2: the dual ball still comes from the enumeration (10 items)
+    # genus 2: the dual ball comes from the enumeration (10 items), norm never does
     from wallnorm import dual_ball, homology_basis, norm
     from wallnorm.errors import ResourceLimit
     from wallnorm.fixtures import genus2_example
@@ -313,23 +326,26 @@ def test_enum_cap_env_warm(workdir, monkeypatch, capsys):
     wall.write_text(genus2_example().canonical_text)
     wmap = parse_wall_system(wall.read_text())
     basis = homology_basis(wmap)
+    expected = norm(wmap, basis, (1, 0, 0, 0))
+    assert basis._memo == {}  # a cold norm keeps no ball
 
-    def refused():
+    def capped():
         with pytest.raises(ResourceLimit, match="exceeded the cap of 3"):
             dual_ball(wmap, basis)
-        with pytest.raises(ResourceLimit, match="exceeded the cap of 3"):
-            norm(wmap, basis, (1, 0, 0, 0))
+        assert norm(wmap, basis, (1, 0, 0, 0)) == expected
         capsys.readouterr()
         assert run_cli(["ball", str(wall)])[0] == 1
         assert "exceeded the cap of 3" in capsys.readouterr().err
+        code, text = run_cli(["norm", str(wall), "1", "0", "0", "0"])
+        assert (code, text.splitlines()[2:]) == (0, ["x = 1", "witness 1 -1 -1 -1"])
 
     monkeypatch.setenv("WALLNORM_MAX_ENUM", "3")
-    refused()  # cold: nothing is kept
+    capped()  # cold: nothing is kept
     assert basis._memo == {}
     monkeypatch.delenv("WALLNORM_MAX_ENUM")
     ball = dual_ball(wmap, basis)
     monkeypatch.setenv("WALLNORM_MAX_ENUM", "3")
-    refused()  # warm: the kept ball is refused as the enumeration was
+    capped()  # warm: norm reads the kept ball, the ball itself is refused as before
     monkeypatch.delenv("WALLNORM_MAX_ENUM")
     assert dual_ball(wmap, basis) is ball
 

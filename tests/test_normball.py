@@ -26,7 +26,7 @@ from wallnorm import (
     norm_rational,
     support_coorientation,
 )
-from wallnorm import cli, coorient, eikonal, normball
+from wallnorm import birkhoff, cli, coorient, eikonal, normball
 from wallnorm.errors import DegenerateBall, InternalError
 from wallnorm.fixtures import (
     four_geodesic_example,
@@ -38,7 +38,7 @@ from wallnorm.fixtures import (
     one_curve_example,
     random_wall_system,
 )
-from wallnorm.normball import DualBall
+from wallnorm.normball import DualBall, NormValue
 from wallnorm.simplex import affine_dimension, hull_position
 
 
@@ -378,3 +378,78 @@ def test_genus_one_ball_rechecks_each_vertex(monkeypatch):
     g22 = grid_map(2, 2)
     with pytest.raises(InternalError, match="does not carry its class"):
         dual_ball(g22, homology_basis(g22))
+
+
+@cache
+def _circulation_cases():
+    """Fixtures and seeded maps of rank 4, 6 and 8, with their enumerated class points.
+
+    Their bases keep no ball, so norm, norm_rational and bounding_box run
+    the circulation on them.
+    """
+    maps = [grid_map(1, 1), grid_map(2, 3), grid_map(3, 3), four_geodesic_example(),
+            one_curve_example(), genus2_example()]
+    rng = random.Random(71)
+    wanted = {4: 3, 6: 3, 8: 2}
+    while any(wanted.values()):
+        wmap = random_wall_system(rng.randint(4, 8), rng)
+        rank = 2 * wmap.genus
+        if wanted.get(rank):
+            wanted[rank] -= 1
+            maps.append(wmap)
+    cases = []
+    for wmap in maps:
+        basis = homology_basis(wmap)
+        cases.append((wmap, basis, enumerate_eulerian(wmap, basis).distinct_classes()))
+    return cases
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_circulation_answers_equal_the_enumerated_ball(data):
+    wmap, basis, points = data.draw(st.sampled_from(_circulation_cases()))
+    a = data.draw(st.lists(st.integers(-9, 9), min_size=basis.rank, max_size=basis.rank))
+    values = [_pairing(p, a) for p in points]
+    best = max(values)  # the first maximizer is the smallest one
+    assert norm(wmap, basis, a) == NormValue(best, points[values.index(best)])
+    scales = data.draw(st.lists(st.integers(1, 12), min_size=basis.rank, max_size=basis.rank))
+    q = [Fraction(x, s) for x, s in zip(a, scales)]
+    assert norm_rational(wmap, basis, q) == max(_pairing(p, q) for p in points)
+    assert normball.bounding_box(wmap, basis) == tuple(
+        (min(p[k] for p in points), max(p[k] for p in points)) for k in range(basis.rank)
+    )
+    assert "ball" not in basis._memo
+
+
+def test_norm_and_birkhoff_above_genus_one_never_enumerate(tmp_path, monkeypatch):
+    # genus 2 and 3; the expected answers come from the enumerated ball
+    rng = random.Random(5)
+    genus3 = next(m for m in iter(lambda: random_wall_system(6, rng), None) if m.genus == 3)
+    expected = {}
+    for name, wmap in (("genus2", genus2_example()), ("genus3", genus3)):
+        (tmp_path / f"{name}.wall").write_text(wmap.canonical_text)
+        basis = homology_basis(wmap)
+        ball = dual_ball(wmap, basis)
+        a = tuple(range(1 - basis.rank // 2, 1 + basis.rank // 2 + basis.rank % 2))
+        values = [_pairing(p, a) for p in ball.points]
+        witness = ball.points[values.index(max(values))]
+        report = birkhoff.classify(wmap, basis, ball)
+        expected[name] = a, [f"x = {max(values)}", "witness " + " ".join(map(str, witness))], [
+            f"point={','.join(map(str, e.point))} status={e.status}" for e in report.entries
+        ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Eulerian coorientations were enumerated")
+
+    monkeypatch.setattr(coorient, "_search_eulerian", refuse)
+    for name, (a, norm_lines, points) in expected.items():
+        wall = str(tmp_path / f"{name}.wall")
+        out = io.StringIO()
+        assert cli.main(["norm", wall, *map(str, a)], out=out) == 0
+        assert out.getvalue().splitlines()[2:] == norm_lines
+        out = io.StringIO()
+        assert cli.main(["birkhoff", wall], out=out) == 0
+        records = [line for line in out.getvalue().splitlines() if line.startswith("point=")]
+        assert [line.split(" chi=")[0] for line in records] == points
+    with pytest.raises(AssertionError, match="enumerated"):  # the ball still enumerates
+        cli.main(["ball", str(tmp_path / "genus2.wall")], out=io.StringIO())

@@ -25,6 +25,8 @@ from wallnorm.errors import BoxExceeded, ResourceLimit
 from wallnorm.fixtures import grid_basis, grid_map, random_wall_system
 from wallnorm.surface_map import concat_closed_walks
 
+import reference
+
 
 def test_min_single_cycle_g11(g11, b11):
     length, walk = min_single_cycle(g11, b11, (1, 0), 3)
@@ -143,6 +145,38 @@ def test_verify_small_fixtures_box3(one_curve, genus2, genus2_basis):
     assert verify_min_equals_max(g12, grid_basis(g12, 1, 2), 3).ok
     assert verify_min_equals_max(one_curve, homology_basis(one_curve), 3).ok
     assert verify_min_equals_max(genus2, genus2_basis, 3).ok
+
+
+def _seeded_single_table(rank, radius, seed):
+    """A single-cycle table with random lengths 1..9 and about a quarter of entries inf."""
+    rng = random.Random(seed)
+    return {c: (math.inf, -1) if rng.random() < 0.25 else (rng.randint(1, 9), 0)
+            for c in oracle._box_classes(rank, radius)}
+
+
+@pytest.mark.parametrize("rank, radius", [(2, 1), (2, 2), (2, 3), (3, 2), (4, 1), (4, 2), (6, 1)])
+def test_dp_tables_match_the_reference_on_seeded_tables(rank, radius):
+    for seed in range(2):
+        single = _seeded_single_table(rank, radius, seed)
+        assert any(math.isinf(v) for v, _ in single.values())
+        m, choice = oracle._dp_tables(single, radius)
+        ref_m, ref_choice = reference.dp_tables(single, radius)
+        assert (list(m.items()), choice) == (list(ref_m.items()), ref_choice)
+        assert [type(v) for v in m.values()] == [type(v) for v in ref_m.values()]
+
+
+def test_dp_tables_match_the_reference_on_fixture_tables(g22, b22, genus2, genus2_basis):
+    four = fixtures.four_geodesic_example()
+    cases = [(g22, b22, 2, 5), (g22, b22, 3, 3), (four, homology_basis(four), 2, 4),
+             (genus2, genus2_basis, 1, 7), (genus2, genus2_basis, 2, 2)]
+    for seed in (17, 27):  # the maps of test_composite_class_certificate
+        wmap = random_wall_system(6, random.Random(seed))
+        cases.append((wmap, homology_basis(wmap), 1, 7))
+    wmap = _random_map(5, 3, 3)
+    cases.append((wmap, homology_basis(wmap), 1, 2))
+    for wmap, basis, radius, h in cases:
+        single = oracle._single_cycle_table(wmap, basis, radius, h)
+        assert oracle._dp_tables(single, radius) == reference.dp_tables(single, radius)
 
 
 def test_verify_reports_counts(g11, b11):

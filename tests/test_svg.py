@@ -6,8 +6,8 @@ from wallnorm.normball import DualBall
 
 
 def statuses_of(wmap, basis):
-    report = classify(wmap, basis)
-    return report.ball, [(e.point, e.status) for e in report.entries]
+    ball = dual_ball(wmap, basis)
+    return ball, [(e.point, e.status) for e in classify(wmap, basis, ball).entries]
 
 
 def test_svg_g22(g22, b22):
