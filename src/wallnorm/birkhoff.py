@@ -23,7 +23,7 @@ from itertools import product
 
 from .eikonal import highest_potential
 from .homology import Coords, HomologyBasis, gamma_parity
-from .normball import DualBall, bounding_box, contains
+from .normball import DualBall, bounding_box
 from .surface_map import WallSystemMap
 
 
@@ -77,10 +77,9 @@ def classify(
 ) -> ClassificationReport:
     """Classify every congruent lattice point of the dual ball's bounding box.
 
-    A given ``ball`` supplies the box and, through ``contains``, the
-    positions.  Without one the box comes from the support queries and the
-    positions straight from the highest potentials, with no check of the
-    ball's dimension: none is needed.  The curves fill the surface, so a
+    A given ``ball`` supplies the box; without one it comes from the
+    support queries.  Each position comes straight from the highest
+    potential, with no check of the ball's dimension: none is needed.  The curves fill the surface, so a
     closed dual walk of a nonzero class crosses a wall and the norm is
     definite.  The ball is symmetric (reversing a coorientation negates its
     class), so its affine hull is a linear subspace spanned by lattice
@@ -96,10 +95,7 @@ def classify(
     counts = {"interior": 0, "boundary": 0, "outside": 0}
     congruent = (range(lo + (lo - p) % 2, hi + 1, 2) for (lo, hi), p in zip(box, parity))
     for point in product(*congruent):
-        if ball is None:
-            status = highest_potential(wmap, basis, point).position
-        else:
-            status = contains(ball, point)
+        status = highest_potential(wmap, basis, point).position
         counts[status] += 1
         entries.append(SectionClass(point, status, chi, circles, genus))
     return ClassificationReport(

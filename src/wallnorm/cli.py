@@ -165,12 +165,14 @@ def cmd_verify(config: RunConfig, out) -> int:
 
 def cmd_realize(config: RunConfig, out) -> int:
     wmap, basis = _load(config)
-    n = config.options["coords"]
-    # a usage error leaves stdout empty; NotRealizable comes after the header
-    if len(n) != basis.rank:
-        raise ValueError(f"target class must have {basis.rank} coordinates")
+    try:
+        result = realize(
+            wmap, basis, config.options["coords"], method=config.options.get("method", "auto")
+        )
+    except WallNormError:  # a refused class is reported under the header; a usage error is not
+        _header(out, wmap, basis)
+        raise
     _header(out, wmap, basis)
-    result = realize(wmap, basis, n, method=config.options.get("method", "auto"))
     print(f"realized {_coords(result.target)} method={result.method}", file=out)
     out_path = config.options.get("out")
     if out_path:

@@ -112,6 +112,11 @@ def norm(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence[int]) -> NormVal
     every |p_i - q_i| between two classes, the cost
     B^r * a - sum_i B^(r-1-i) * e_i ranks classes by a.p first and then
     by p_1, p_2, ... ascending, so its only maximizer is the witness.
+
+    A cold query pays that circulation every time and keeps nothing.  A
+    caller with many queries on one basis builds the ball first with
+    ``dual_ball``; every later query on the basis, this one and
+    ``norm_rational``, then only reads its extreme points.
     """
     a = tuple(int(x) for x in a)
     if len(a) != basis.rank:

@@ -377,7 +377,7 @@ def verify_min_equals_max(
         lambda cs, t: f"classes {cs[:3]}... not represented inside radius {t}",
         lambda cs, t: f"values for {cs[:3]}... still improving at {t}",
     )
-    normball.dual_ball(wmap, basis)  # kept on the basis: each norm below reads it
+    normball.dual_ball(wmap, basis)  # many norm queries follow: build the ball they read
     discrepancies = []
     for c in sorted(m):
         expected = normball.norm(wmap, basis, c).value
