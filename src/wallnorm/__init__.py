@@ -5,7 +5,8 @@ The package computes, with integer and rational arithmetic only:
 * combinatorial maps of wall systems (rotation systems with 4-valent
   vertices) and their faces, curves, and dual graphs,
 * integer homology bases of the dual cell structure,
-* Eulerian coorientations: tests, exhaustive enumeration, the named
+* Eulerian coorientations: tests, exhaustive enumeration, a
+  transfer-matrix count of their classes, the named
   checkerboard and per-curve constructions, and one maximizing a linear
   pairing of its class (negative-cycle cancelling),
 * the intersection norm via maximization over Eulerian classes, and its
@@ -70,6 +71,7 @@ from .coorient import (
     checkerboard_coorientation,
     class_of,
     enumerate_eulerian,
+    eulerian_class_counts,
     evaluate,
     is_eulerian,
     iter_eulerian,

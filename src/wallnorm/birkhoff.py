@@ -13,15 +13,15 @@ The classification enumerates nothing at any genus: the bounding box of
 the dual ball comes from 2 * rank support queries
 (``normball.bounding_box``), and the position of each congruent point
 from its highest potential, an integer shortest-path computation on the
-dual graph.
+dual graph.  The arc costs of all the points come from one product of
+the points with the move deltas, in Python integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .eikonal import highest_potential
+from .eikonal import _potential
 from .homology import Coords, HomologyBasis, gamma_parity
 from .normball import DualBall, bounding_box
 from .surface_map import WallSystemMap
@@ -93,9 +93,17 @@ def classify(
     chi, circles, genus = section_invariants(wmap)
     entries = []
     counts = {"interior": 0, "boundary": 0, "outside": 0}
-    congruent = (range(lo + (lo - p) % 2, hi + 1, 2) for (lo, hi), p in zip(box, parity))
-    for point in product(*congruent):
-        status = highest_potential(wmap, basis, point).position
+    congruent = [range(lo + (lo - p) % 2, hi + 1, 2) for (lo, hi), p in zip(box, parity)]
+    # the arc costs 1 - point.delta of every point: the product of the points
+    # with the move deltas, one coordinate at a time, in itertools.product order
+    rows = [((), [1] * len(basis.moves))]
+    for values, column in zip(congruent, zip(*(delta for _, _, delta, _ in basis.moves))):
+        rows = [(point + (x,), [c - x * d for c, d in zip(row, column)])
+                for point, row in rows for x in values]
+    ends = [(u, v, crossing) for u, v, _, crossing in basis.moves]
+    for point, row in rows:
+        arcs = [(u, v, cost, crossing) for (u, v, crossing), cost in zip(ends, row)]
+        status = _potential(wmap, basis, arcs).position
         counts[status] += 1
         entries.append(SectionClass(point, status, chi, circles, genus))
     return ClassificationReport(

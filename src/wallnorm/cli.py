@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import fixtures
 from .birkhoff import classify
-from .coorient import enumerate_eulerian
+from .coorient import enumerate_eulerian, eulerian_class_counts
 from .eikonal import realize
 from .errors import WallNormError
 from .homology import HomologyBasis, basis_from_file, gamma_parity, homology_basis
@@ -87,18 +87,23 @@ def cmd_info(config: RunConfig, out) -> int:
 def cmd_coorientations(config: RunConfig, out) -> int:
     wmap, basis = _load(config)
     _header(out, wmap, basis)
-    eul = enumerate_eulerian(wmap, basis, config.options.get("max_enum"))
-    print(f"eulerian {eul.count}", file=out)
-    if config.options.get("classes"):
-        for point in sorted(eul.classes):
-            print(f"class {_coords(point)} count={eul.classes[point]}", file=out)
+    limit = config.options.get("max_enum")
     list_dir = config.options.get("list_dir")
+    if list_dir:  # only listing needs the coorientations themselves
+        eul = enumerate_eulerian(wmap, basis, limit)
+        count, classes = eul.count, eul.classes
+    else:
+        count, classes = eulerian_class_counts(wmap, basis, limit)
+    print(f"eulerian {count}", file=out)
+    if config.options.get("classes"):
+        for point in sorted(classes):
+            print(f"class {_coords(point)} count={classes[point]}", file=out)
     if list_dir:
         target = Path(list_dir)
         target.mkdir(parents=True, exist_ok=True)
         for k, coor in enumerate(eul.items):
             (target / f"coor_{k:06d}.txt").write_text(coor.to_text())
-        print(f"written {eul.count} files to {target}", file=out)
+        print(f"written {count} files to {target}", file=out)
     return 0
 
 

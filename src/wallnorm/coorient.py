@@ -6,6 +6,12 @@ left face.  Eulerian coorientations are the ones that vanish on
 boundaries, which is local: the kappa-weighted signs around every double
 point cancel.  Each Eulerian coorientation evaluates on closed dual walks
 through homology only, so it carries an integer cohomology class.
+
+``eulerian_class_counts`` counts them and their classes with a
+transfer-matrix DP and lists none; the reports that need only the count
+and the class multiset use it.  ``enumerate_eulerian`` lists them, for
+``coorientations --list``, the lookup realization and the tests; the two
+share the cap and the edge order, and nothing else.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ from .surface_map import Crossing, WallSystemMap
 
 ENUM_CAP_ENV = "WALLNORM_MAX_ENUM"
 DEFAULT_ENUM_CAP = 1_000_000
+# Most states a layer of eulerian_class_counts may hold, about 0.12 GB of dict.
+# A layer is checked once built, and holds at most twice the states before it.
+MAX_DP_STATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -262,6 +271,100 @@ def classes_of(items: Sequence[Coorientation], basis: HomologyBasis) -> Iterator
     for start in range(0, len(items), _CLASS_BLOCK):
         block = np.array([c.signs for c in items[start:start + _CLASS_BLOCK]], dtype=np.int64)
         yield from map(tuple, (block @ counts).tolist())
+
+
+def eulerian_class_counts(
+    wmap: WallSystemMap, basis: HomologyBasis, limit: int | None = None
+) -> tuple[int, "Counter[Coords]"]:
+    """The number of Eulerian coorientations and their class multiset, by transfer matrix.
+
+    Nothing is enumerated: this is Lieb's transfer matrix for ice models.
+    The edges are placed in BFS order of the wall graph, and a state holds
+    the kappa-sums of the open vertices (touched, not yet closed) and the
+    partial class sum_i counts[i][e] * s_e, mapped to how many sign
+    prefixes reach it.  A vertex's sum must stay within its open darts,
+    the pruning of the search, so a closing vertex must sum to 0.  The
+    cost grows with the width of the open-vertex frontier, not with the
+    number of items.
+
+    Each state is packed into one int: a 4-bit slot per open vertex (the
+    sum biased by 4; a slot is reused once its vertex closes), then one
+    field per class coordinate, biased by its largest magnitude.  Every
+    field stays within its width, so adding the packed step of a sign adds
+    it field by field.
+
+    The cap acts as on the enumeration: a count over it raises the same
+    ResourceLimit.  A layer of more than MAX_DP_STATES states is refused
+    with ResourceLimit while the DP runs, as soon as it is built.  Nothing
+    is kept on the map or the basis.  Raises InternalError for a basis of
+    another map.
+    """
+    _check_basis_map(wmap, basis)
+    counts = basis.cycle_edge_counts
+    order = _bfs_edge_order(wmap)
+    # a slot per open vertex, taken on its first dart and freed when it closes
+    remaining = [4] * wmap.vertex_count
+    slot_of: dict[int, int] = {}
+    free: list[int] = []
+    width = 0
+    placed = []  # per edge in order: the slots it moves and their open darts after it
+    for e in order:
+        ends = []
+        for v in (wmap.dart_vertex[d] for d in wmap.edges[e]):
+            if v not in slot_of:
+                if not free:
+                    free.append(width)
+                    width += 1
+                slot_of[v] = free.pop()
+            remaining[v] -= 1
+            ends.append(v)
+        placed.append((e, [(slot_of[v], remaining[v]) for v in ends]))
+        for v in dict.fromkeys(ends):
+            if not remaining[v]:
+                free.append(slot_of.pop(v))
+    frontier_bits = 4 * width
+    frontier_zero = sum(4 << 4 * k for k in range(width))
+    fields = []  # per class coordinate: (shift, bias, mask)
+    shift = frontier_bits
+    for row in counts:
+        bias = sum(map(abs, row))
+        bits = (2 * bias).bit_length()
+        fields.append((shift, bias, (1 << bits) - 1))
+        shift += bits
+    start = frontier_zero + sum(bias << sh for sh, bias, _ in fields)
+
+    layer = {start: 1}
+    for index, (e, ends) in enumerate(placed, start=1):
+        (tail, open_tail), (head, open_head) = ends
+        step = sum(row[e] << sh for row, (sh, _, _) in zip(counts, fields))
+        step += (1 << 4 * tail) - (1 << 4 * head)
+        # bit j of an allowed mask: a slot reading j = 4 + sum is within the open darts
+        allow_tail = sum(1 << 4 + s for s in range(-open_tail, open_tail + 1))
+        allow_head = sum(1 << 4 + s for s in range(-open_head, open_head + 1))
+        tail_shift, head_shift = 4 * tail, 4 * head
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for state, ways in layer.items():
+            for new in (state + step, state - step):
+                if (allow_tail >> (new >> tail_shift & 15) & 1
+                        and allow_head >> (new >> head_shift & 15) & 1):
+                    nxt[new] = get(new, 0) + ways
+        if len(nxt) > MAX_DP_STATES:
+            raise ResourceLimit(
+                f"Eulerian class count reached {len(nxt)} states at edge {index} of "
+                f"{len(placed)}, over the budget of {MAX_DP_STATES}"
+            )
+        layer = nxt
+
+    classes: Counter[Coords] = Counter()
+    frontier_mask = (1 << frontier_bits) - 1
+    for state, ways in layer.items():
+        if state & frontier_mask != frontier_zero:
+            raise InternalError("the class count closed a vertex with a nonzero sum")
+        classes[tuple((state >> sh & mask) - bias for sh, bias, mask in fields)] += ways
+    total = sum(classes.values())
+    _check_cap(total, limit)
+    return total, classes
 
 
 def support_coorientation(

@@ -228,6 +228,13 @@ def highest_potential(
         (u, v, 1 - sum(map(mul, n, delta)), crossing)
         for u, v, delta, crossing in basis.moves
     ]
+    return _potential(wmap, basis, arcs)
+
+
+def _potential(
+    wmap: WallSystemMap, basis: HomologyBasis, arcs: list[tuple[int, int, int, Crossing]]
+) -> HighestPotential:
+    """The highest potential from the arcs (from, to, cost, crossing), one per move in order."""
     faces = wmap.dual_graph.node_count
     g: list[int | None] = [None] * faces
     g[0] = 0

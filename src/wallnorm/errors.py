@@ -47,7 +47,7 @@ class NotEulerian(WallNormError):
 
 
 class ResourceLimit(WallNormError):
-    """An enumeration or cover table exceeded its cap; results would be partial."""
+    """An enumeration, class count or cover table exceeded its cap; results would be partial."""
 
 
 class BoxExceeded(WallNormError):

@@ -14,11 +14,12 @@ maximize over its extreme points instead.
 The ball itself: at genus one it is a polygon walked with the same
 circulation; its vertices are the extreme points, and the class points
 are the lattice points congruent to the crossing parity class inside it.
-Nothing is enumerated there.  At higher genus the class points come from
-the enumeration, and the highest potential of ``eikonal``, an integer
-shortest-path computation on the dual graph, finds the extreme points
-among them: the class points whose tight closed dual walks span full
-rank.  The same potential decides the position of a lattice point
+Nothing is enumerated there.  At higher genus the class points are the
+classes counted by ``coorient.eulerian_class_counts``, a transfer-matrix
+DP that lists no coorientation, and the highest potential of
+``eikonal``, an integer shortest-path computation on the dual graph,
+finds the extreme points among them: the class points whose tight
+closed dual walks span full rank.  The same potential decides the position of a lattice point
 (outside, boundary, interior) at every genus.  The ball is built once per
 basis and kept on it.  Areas come from the shoelace formula.
 """
@@ -36,7 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from .coorient import (
-    _check_cap, class_of, enumerate_eulerian, is_eulerian, support_coorientation,
+    _check_cap, class_of, enumerate_eulerian, eulerian_class_counts, is_eulerian,
+    support_coorientation,
 )
 from .eikonal import highest_potential
 from .errors import DegenerateBall, InternalError
@@ -85,7 +87,7 @@ class DualBall:
 
 
 def eulerian_class_counter(wmap: WallSystemMap, basis: HomologyBasis) -> Counter:
-    """Multiset of Eulerian classes (kept on the basis)."""
+    """Multiset of Eulerian classes from the enumeration (kept on the basis)."""
     return enumerate_eulerian(wmap, basis).classes
 
 
@@ -237,21 +239,21 @@ def _genus_one_ball(
 
 
 def _build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[int | None, DualBall]:
-    """The Eulerian item count (None when nothing was enumerated) and the dual ball.
+    """The Eulerian item count (None when nothing was counted) and the dual ball.
 
     At genus one the polygon is walked with the support oracle and nothing
-    is enumerated.  At higher genus the class points come from the
-    enumeration, and a class point is extreme iff the ball's normal cone
-    there is full-dimensional, i.e. its highest potential has full normal
-    rank; a point that is the only maximizer of its own pairing is an
-    exposed vertex and skips that test.
+    is counted.  At higher genus the class points are the classes of the
+    transfer-matrix count, and a class point is extreme iff the ball's
+    normal cone there is full-dimensional, i.e. its highest potential has
+    full normal rank; a point that is the only maximizer of its own
+    pairing is an exposed vertex and skips that test.
     """
     if basis.rank == 2:
         count = None
         points, extreme = _genus_one_ball(wmap, basis)
     else:
-        eul = enumerate_eulerian(wmap, basis)
-        count, points = eul.count, eul.distinct_classes()
+        count, classes = eulerian_class_counts(wmap, basis)
+        points = tuple(sorted(classes))
         array = np.array(points, dtype=np.int64)
         gram = array @ array.T
         exposed = (gram >= gram.diagonal()[:, None]).sum(axis=1) == 1
@@ -277,9 +279,9 @@ def dual_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
     """The dual unit ball with exact extreme points, kept on the basis.
 
     Every call with the same basis object returns the same ball, for the
-    basis's lifetime.  Above genus one the ball comes from the enumeration,
+    basis's lifetime.  Above genus one the ball comes from the class count,
     and the enumeration cap is re-checked against the kept item count; the
-    genus-one ball enumerates nothing and ignores the cap.  Raises
+    genus-one ball counts nothing and ignores the cap.  Raises
     InternalError for a basis of another map.
     """
     _check_basis_map(wmap, basis)

@@ -1,14 +1,18 @@
+import random
+
 from wallnorm import (
     class_of,
     classify,
     concat_closed_walks,
     eulerian_class_counter,
+    highest_potential,
     homology_basis,
     is_eulerian,
     realize,
     section_invariants,
     set_user_basis,
 )
+from wallnorm.fixtures import four_geodesic_example, random_wall_system
 
 
 def test_g11_no_sections(g11, b11):
@@ -41,6 +45,23 @@ def test_status_partition(g22, b22, genus2, genus2_basis):
         report = classify(wmap, basis)
         total = report.interior_count + report.boundary_count + report.outside_count
         assert total == len(report.entries)
+
+
+def test_positions_equal_the_single_point_potential(g22, b22, genus2, genus2_basis):
+    # classify takes every point's arc costs from one product over the box;
+    # highest_potential computes one point's costs on its own
+    cases = [(g22, b22), (genus2, genus2_basis), (four_geodesic_example(), None)]
+    rng = random.Random(12)
+    while len(cases) < 12:
+        wmap = random_wall_system(rng.randint(3, 9), rng)
+        if wmap.genus <= 4:
+            cases.append((wmap, None))
+    for wmap, basis in cases:
+        basis = basis or homology_basis(wmap)
+        report = classify(wmap, basis)
+        assert [e.status for e in report.entries] == [
+            highest_potential(wmap, basis, e.point).position for e in report.entries
+        ]
 
 
 def test_section_invariants_values(g11, g22, one_curve):

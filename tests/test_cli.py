@@ -317,7 +317,7 @@ def test_enum_cap_env(workdir, monkeypatch):
 
 
 def test_enum_cap_env_warm(workdir, monkeypatch, capsys):
-    # genus 2: the dual ball comes from the enumeration (10 items), norm never does
+    # genus 2: the dual ball comes from the count of 10 coorientations, norm never does
     from wallnorm import dual_ball, homology_basis, norm
     from wallnorm.errors import ResourceLimit
     from wallnorm.fixtures import genus2_example
@@ -352,7 +352,7 @@ def test_enum_cap_env_warm(workdir, monkeypatch, capsys):
 
 def test_genus_one_ball_ignores_the_enum_cap(workdir, monkeypatch, capsys):
     # the genus-one ball is walked with the support oracle, so only the
-    # enumeration itself (coorientations) meets the cap
+    # count of the coorientations themselves (coorientations) meets the cap
     from wallnorm import dual_ball, homology_basis, norm
 
     wall = workdir / "G13.wall"

@@ -1,8 +1,12 @@
+import io
 import random
+import re
 from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wallnorm import (
     Coorientation,
@@ -15,6 +19,7 @@ from wallnorm import (
     class_of,
     class_of_walk,
     enumerate_eulerian,
+    eulerian_class_counts,
     evaluate,
     gamma_parity,
     homology_basis,
@@ -22,12 +27,15 @@ from wallnorm import (
     iter_eulerian,
     vertex_kind,
 )
+from wallnorm import cli
 from wallnorm import coorient as coorient_module
 from wallnorm.fixtures import (
     four_geodesic_example,
     genus2_example,
     grid_basis,
     grid_map,
+    grid_text,
+    one_curve_example,
     random_wall_system,
 )
 from wallnorm.homology import set_user_basis
@@ -149,6 +157,92 @@ def test_resource_limit_cold_and_warm():
     with pytest.raises(ResourceLimit):
         enumerate_eulerian(wmap, basis, limit=5)
     assert enumerate_eulerian(wmap, basis, limit=44).count == 44
+
+
+def _counted_by_both(wmap):
+    """The DP's answer and the enumeration's, each on its own freshly parsed map and basis."""
+    sides = []
+    for _ in range(2):
+        again = parse_wall_system(wmap.canonical_text)
+        sides.append((again, homology_basis(again)))
+    (dp_map, dp_basis), (enum_map, enum_basis) = sides
+    counted = eulerian_class_counts(dp_map, dp_basis)
+    assert "eulerian" not in dp_map._memo and dp_basis._memo == {}  # the DP keeps nothing
+    items = enumerate_eulerian(enum_map, enum_basis).items
+    return counted, (len(items), Counter(class_of(enum_map, c, enum_basis) for c in items))
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda m=m, n=n: grid_map(m, n), id=f"G{m}{n}")
+      for m in range(1, 5) for n in range(m, 6)),
+    pytest.param(four_geodesic_example, id="four"),
+    pytest.param(one_curve_example, id="one-curve"),
+    pytest.param(genus2_example, id="genus2"),
+])
+def test_class_counts_equal_the_enumeration_on_fixtures(make):
+    counted, enumerated = _counted_by_both(make())
+    assert counted == enumerated
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_class_counts_equal_the_enumeration_on_random_maps(seed):
+    rng = random.Random(seed)
+    wmap = random_wall_system(rng.randint(2, 9), rng)
+    while wmap.genus > 4:
+        wmap = random_wall_system(rng.randint(2, 9), rng)
+    counted, enumerated = _counted_by_both(wmap)
+    assert counted == enumerated
+
+
+def test_class_counts_refuse_over_the_cap_as_the_enumeration_does(monkeypatch, capsys):
+    message = "Eulerian enumeration exceeded the cap of 5; results would be partial"
+    wmap = grid_map(2, 3)
+    basis = homology_basis(wmap)
+    with pytest.raises(ResourceLimit, match=f"^{re.escape(message)}$"):
+        enumerate_eulerian(parse_wall_system(wmap.canonical_text), limit=5)
+    with pytest.raises(ResourceLimit, match=f"^{re.escape(message)}$"):
+        eulerian_class_counts(wmap, basis, limit=5)  # cold
+    enumerate_eulerian(wmap, basis)  # the items and classes are now kept
+    with pytest.raises(ResourceLimit, match=f"^{re.escape(message)}$"):
+        eulerian_class_counts(wmap, basis, limit=5)  # warm
+    monkeypatch.setenv("WALLNORM_MAX_ENUM", "5")
+    with pytest.raises(ResourceLimit, match=f"^{re.escape(message)}$"):
+        eulerian_class_counts(wmap, basis)
+    monkeypatch.delenv("WALLNORM_MAX_ENUM")
+    assert eulerian_class_counts(wmap, basis, limit=44)[0] == 44
+
+
+def test_class_count_and_listing_report_the_cap_alike(tmp_path, capsys):
+    wall = tmp_path / "G23.wall"
+    wall.write_text(grid_text(2, 3))
+    errors = []
+    for extra in ([], ["--list", str(tmp_path / "coors")]):
+        out = io.StringIO()
+        assert cli.main(["coorientations", str(wall), "--classes", "--max-enum", "5", *extra],
+                        out=out) == 1
+        errors.append((out.getvalue(), capsys.readouterr().err))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == (
+        "error: ResourceLimit: Eulerian enumeration exceeded the cap of 5; "
+        "results would be partial\n"
+    )
+
+
+def test_class_counts_refuse_a_layer_over_the_state_budget(monkeypatch, tmp_path, capsys):
+    wmap = grid_map(3, 3)
+    basis = homology_basis(wmap)
+    monkeypatch.setattr(coorient_module, "MAX_DP_STATES", 20)
+    with pytest.raises(ResourceLimit, match="over the budget of 20") as refused:
+        eulerian_class_counts(wmap, basis)
+    edge, edges = map(int, re.search(r"at edge (\d+) of (\d+)", str(refused.value)).groups())
+    assert edge < edges == wmap.edge_count  # refused while the DP runs, not after it
+    wall = tmp_path / "G33.wall"
+    wall.write_text(grid_text(3, 3))
+    assert cli.main(["classes", str(wall)], out=io.StringIO()) == 1
+    assert "over the budget of 20" in capsys.readouterr().err
+    monkeypatch.setattr(coorient_module, "MAX_DP_STATES", 10**6)
+    assert eulerian_class_counts(wmap, basis)[0] == 148
 
 
 def test_enumeration_is_kept_per_map_object(monkeypatch):

@@ -6,6 +6,7 @@ import weakref
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -422,34 +423,63 @@ def test_circulation_answers_equal_the_enumerated_ball(data):
 
 
 def test_norm_and_birkhoff_above_genus_one_never_enumerate(tmp_path, monkeypatch):
-    # genus 2 and 3; the expected answers come from the enumerated ball
+    # genus 2 and 3.  Only listing and the lookup realization enumerate: every
+    # other request answers as before with the search refused.  The genus-2
+    # reports are the golden files; the genus-3 answers come from the
+    # enumeration, run before the search is refused.
     rng = random.Random(5)
     genus3 = next(m for m in iter(lambda: random_wall_system(6, rng), None) if m.genus == 3)
-    expected = {}
+    expected = {}  # wall file -> {argv tail: report lines below the header}
     for name, wmap in (("genus2", genus2_example()), ("genus3", genus3)):
-        (tmp_path / f"{name}.wall").write_text(wmap.canonical_text)
+        wall = tmp_path / f"{name}.wall"
+        wall.write_text(wmap.canonical_text)
         basis = homology_basis(wmap)
-        ball = dual_ball(wmap, basis)
-        a = tuple(range(1 - basis.rank // 2, 1 + basis.rank // 2 + basis.rank % 2))
-        values = [_pairing(p, a) for p in ball.points]
-        witness = ball.points[values.index(max(values))]
-        report = birkhoff.classify(wmap, basis, ball)
-        expected[name] = a, [f"x = {max(values)}", "witness " + " ".join(map(str, witness))], [
-            f"point={','.join(map(str, e.point))} status={e.status}" for e in report.entries
-        ]
+        eul = enumerate_eulerian(wmap, basis)
+        points = eul.distinct_classes()
+        rank = basis.rank
+        a = tuple(range(1 - rank // 2, 1 + rank // 2 + rank % 2))
+        values = [_pairing(p, a) for p in points]
+        witness = points[values.index(max(values))]
+        extreme = [p for p in points if highest_potential(wmap, basis, p).normal_rank == rank]
+        report = birkhoff.classify(wmap, basis, DualBall(points, tuple(extreme), rank))
+        classes = [f"class {' '.join(map(str, p))} count={eul.classes[p]}" for p in points]
+        expected[str(wall)] = {
+            ("norm", *map(str, a)): [f"x = {max(values)}",
+                                     "witness " + " ".join(map(str, witness))],
+            ("birkhoff",): [f"point={','.join(map(str, e.point))} status={e.status}"
+                            for e in report.entries],
+            ("coorientations",): [f"eulerian {eul.count}"],
+            ("coorientations", "--classes"): [f"eulerian {eul.count}", *classes],
+            ("classes",): [f"eulerian {eul.count}", *classes],
+            ("ball",): [*(f"extreme {' '.join(map(str, p))}" for p in extreme),
+                        f"count {len(extreme)}"],
+            ("ball", "--all-classes"): [*(f"point {' '.join(map(str, p))}" for p in points),
+                                        f"count {len(points)}"],
+        }
 
     def refuse(*args, **kwargs):
         raise AssertionError("the Eulerian coorientations were enumerated")
 
     monkeypatch.setattr(coorient, "_search_eulerian", refuse)
-    for name, (a, norm_lines, points) in expected.items():
-        wall = str(tmp_path / f"{name}.wall")
+    for wall, reports in expected.items():
+        for command, lines in reports.items():
+            out = io.StringIO()
+            assert cli.main([command[0], wall, *command[1:]], out=out) == 0, command
+            got = out.getvalue().splitlines()[2:]
+            if command[0] == "birkhoff":
+                got = [line.split(" chi=")[0] for line in got if line.startswith("point=")]
+            assert got == lines, (wall, command)
+
+    golden = Path(__file__).parent / "golden"
+    wall = str(tmp_path / "genus2.wall")
+    for command, case in ((["coorientations", "--classes"], "genus2_coorientations"),
+                          (["classes"], "genus2_coorientations"), (["ball"], "genus2_ball"),
+                          (["ball", "--all-classes"], "genus2_ball_all"),
+                          (["verify", "--box", "1"], "genus2_verify")):
         out = io.StringIO()
-        assert cli.main(["norm", wall, *map(str, a)], out=out) == 0
-        assert out.getvalue().splitlines()[2:] == norm_lines
-        out = io.StringIO()
-        assert cli.main(["birkhoff", wall], out=out) == 0
-        records = [line for line in out.getvalue().splitlines() if line.startswith("point=")]
-        assert [line.split(" chi=")[0] for line in records] == points
-    with pytest.raises(AssertionError, match="enumerated"):  # the ball still enumerates
-        cli.main(["ball", str(tmp_path / "genus2.wall")], out=io.StringIO())
+        assert cli.main([command[0], wall, *command[1:]], out=out) == 0, command
+        assert out.getvalue() == (golden / f"{case}.out").read_text(), command
+    for command in (["coorientations", wall, "--list", str(tmp_path / "coors")],
+                    ["realize", wall, "-1", "1", "-1", "-1", "--method", "lookup"]):
+        with pytest.raises(AssertionError, match="enumerated"):
+            cli.main(command, out=io.StringIO())
