@@ -83,7 +83,6 @@ from .normball import (
     NormValue,
     contains,
     dual_ball,
-    eulerian_class_counter,
     norm,
     norm_rational,
 )

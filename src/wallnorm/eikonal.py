@@ -43,7 +43,9 @@ from itertools import product
 from operator import mul
 from typing import Iterator, Sequence
 
-from .coorient import Coorientation, class_of, classes_of, enumerate_eulerian, is_eulerian
+from .coorient import (
+    Coorientation, _parent_cycle, class_of, classes_of, enumerate_eulerian, is_eulerian,
+)
 from .errors import InternalError, NotRealizable
 from .homology import Coords, HomologyBasis, gamma_parity
 from .simplex import affine_dimension
@@ -240,17 +242,17 @@ def _potential(
     g[0] = 0
     parent: list[tuple[int, Crossing] | None] = [None] * faces
     for _ in range(faces):
-        changed = None
+        changed = False
         for u, v, cost, crossing in arcs:
             gu = g[u]
             if gu is not None and (g[v] is None or gu + cost < g[v]):
                 g[v] = gu + cost
                 parent[v] = (u, crossing)
-                changed = v
-        if changed is None:
+                changed = True
+        if not changed:
             break
-    else:
-        return HighestPotential("outside", certificate=_parent_cycle(parent, changed, faces))
+    else:  # relaxed in round F: the parent pointers close a cycle, and it is negative
+        return HighestPotential("outside", certificate=tuple(reversed(_parent_cycle(parent))))
 
     # the step across an edge is one minus the reduced cost of its right -> left arc
     reduced = [g[u] + cost - g[v] for u, v, cost, _ in arcs]
@@ -259,22 +261,6 @@ def _potential(
     # every tight closed walk has a nonzero class, so a tight cycle is a normal direction
     position = "boundary" if _has_cycle(faces, tight) else "interior"
     return HighestPotential(position, tuple(g), steps, tight=tight, basis_rank=basis.rank)
-
-
-def _parent_cycle(parent: list, node: int, faces: int) -> Walk:
-    """The cycle of the parent pointers reached from a node relaxed in round F.
-
-    A cycle of Bellman-Ford parent pointers has negative cost.
-    """
-    for _ in range(faces):
-        node = parent[node][0]
-    walk = []
-    here = node
-    while True:
-        here, crossing = parent[here]
-        walk.append(crossing)
-        if here == node:
-            return tuple(reversed(walk))
 
 
 def _has_cycle(faces: int, arcs: Sequence[tuple[int, int, Coords]]) -> bool:

@@ -26,7 +26,6 @@ basis and kept on it.  Areas come from the shoelace formula.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -37,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .coorient import (
-    _check_cap, class_of, enumerate_eulerian, eulerian_class_counts, is_eulerian,
+    _check_cap, class_of, eulerian_class_counts, is_eulerian,
     support_coorientation,
 )
 from .eikonal import highest_potential
@@ -84,11 +83,6 @@ class DualBall:
             (min(p[k] for p in self.extreme), max(p[k] for p in self.extreme))
             for k in range(self.ambient_dim)
         )
-
-
-def eulerian_class_counter(wmap: WallSystemMap, basis: HomologyBasis) -> Counter:
-    """Multiset of Eulerian classes from the enumeration (kept on the basis)."""
-    return enumerate_eulerian(wmap, basis).classes
 
 
 def _kept_extreme(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[Coords, ...] | None:

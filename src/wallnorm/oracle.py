@@ -4,11 +4,15 @@ The minimum side of the norm is computed directly: shortest closed dual
 walks of a prescribed class are found by breadth-first search in the
 maximal abelian cover (states are a face plus an integer class vector,
 truncated to a box), and minima over multi-curves by a decomposition
-dynamic program over the class box.  Each search stops at the first level
-that labels every class of the radius box at its base face: a BFS level is
-final when first assigned, so the tables equal those of a full sweep of the
-truncation box.  Truncation is guarded empirically: a value is only
-accepted when growing the radius by one does not improve it.
+dynamic program over the class box.  One search, ``_distances``, builds
+every table.  Each table stops at the first level that labels every class
+of the radius box at its base face: a BFS level is final when first
+assigned, so the tables equal those of a full sweep of the truncation box.
+A witness walk is read back from a reverse search out of its end state:
+stepping forward by the first move, in ``basis.moves`` order, that gets
+one step closer gives the first shortest walk in that order.  Truncation
+is guarded empirically: a value is only accepted when growing the radius
+by one does not improve it.
 
 This module never consults the Eulerian maximization; the two sides meet
 only in ``verify_min_equals_max``.
@@ -66,26 +70,37 @@ def _cover_states(wmap: WallSystemMap, basis: HomologyBasis, h: int) -> int:
     return total
 
 
-def _cover_moves(basis: HomologyBasis, h: int) -> dict[int, list[tuple[int, tuple]]]:
-    """From face -> its moves at truncation h: (flat offset, nonzero (coordinate, step) pairs)."""
+def _cover_moves(
+    moves: Sequence[tuple[int, int, Coords]], h: int
+) -> dict[int, list[tuple[int, tuple]]]:
+    """From face -> its moves at truncation h: (flat offset, nonzero (coordinate, step) pairs).
+
+    ``moves`` are the triples (from face, to face, class delta).
+    """
     side = 2 * h + 1
     by_face: dict[int, list[tuple[int, tuple]]] = {}
-    for f_from, f_to, delta, _ in basis.moves:
-        flat = (f_to - f_from) * side**basis.rank + sum(d * side**i for i, d in enumerate(delta))
+    for f_from, f_to, delta in moves:
+        flat = (f_to - f_from) * side**len(delta) + sum(d * side**i for i, d in enumerate(delta))
         steps = tuple((i, d) for i, d in enumerate(delta) if d)
         by_face.setdefault(f_from, []).append((flat, steps))
     return by_face
 
 
+def _lift(h: int, face: int, c: Coords) -> int:
+    """Flat index of the cover state (face, c) at truncation h."""
+    side = 2 * h + 1
+    return face * side**len(c) + sum((ci + h) * side**i for i, ci in enumerate(c))
+
+
 def _distances(
-    wmap: WallSystemMap, basis: HomologyBasis, h: int, base_face: int, moves: dict,
+    wmap: WallSystemMap, basis: HomologyBasis, h: int, start: int, moves: dict,
     targets: np.ndarray | None = None,
 ) -> np.ndarray:
-    """BFS distances from (base_face, 0) over the box |h_i| <= h (flat layout).
+    """BFS distances from the state ``start`` over the box |h_i| <= h (flat layout).
 
     A state gets its level as soon as a move discovers it, so later moves of
     the same level skip it and a frontier needs no deduplication.  ``moves``
-    is ``_cover_moves(basis, h)``, shared across base faces.  With ``targets``
+    is a ``_cover_moves`` table, shared across starts.  With ``targets``
     (flat state indices) the search stops after the first level that leaves
     every target labelled: those distances are final, and states the search
     has not reached yet stay -1.  Without it the whole box is swept.
@@ -93,7 +108,6 @@ def _distances(
     side = 2 * h + 1
     box = side**basis.rank
     dist = np.full(_cover_states(wmap, basis, h), -1, dtype=np.int32)
-    start = base_face * box + box // 2  # the zero class is the centre of the box
     dist[start] = 0
     frontier = np.array([start], dtype=np.int64)
     level = 0
@@ -132,13 +146,14 @@ def _single_cycle_table(
     The BFS from base face f0 stops once it has labelled every lift (f0, c)
     of the radius box, long before a small radius sweeps the truncation box.
     """
-    side = 2 * h + 1
-    moves = _cover_moves(basis, h)
+    box = (2 * h + 1) ** basis.rank
+    moves = _cover_moves([m[:3] for m in basis.moves], h)
     table = {c: (math.inf, -1) for c in _box_classes(basis.rank, radius)}
-    lifts = np.array([sum((ci + h) * side**i for i, ci in enumerate(c)) for c in table])
+    lifts = np.array([_lift(h, 0, c) for c in table])
     for f0 in range(len(wmap.faces)):
-        targets = f0 * side**basis.rank + lifts
-        dist = _distances(wmap, basis, h, f0, moves, targets)[targets]
+        targets = f0 * box + lifts
+        start = f0 * box + box // 2  # the zero class is the centre of the box
+        dist = _distances(wmap, basis, h, start, moves, targets)[targets]
         for (c, (best, _)), d in zip(table.items(), dist.tolist()):
             if 0 <= d < best:
                 table[c] = (d, f0)
@@ -195,45 +210,38 @@ def _dp_tables(single: dict[Coords, tuple[float, int]], radius: int):
     )
 
 
-def _bfs_walk(
+def _walk(
     wmap: WallSystemMap, basis: HomologyBasis, target: Coords, h: int, base_face: int
 ) -> Walk | None:
-    """Shortest closed walk of the target class based at base_face (parents BFS)."""
-    rank = basis.rank
-    moves = basis.moves
-    start = (base_face, (0,) * rank)
-    goal = (base_face, target)
-    if start == goal:
-        return ()
-    parents: dict[tuple[int, Coords], tuple[tuple[int, Coords], tuple[int, int]]] = {
-        start: (start, (0, 0))
-    }
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            face, vec = state
-            for f_from, f_to, delta, crossing in moves:
-                if f_from != face:
-                    continue
+    """First shortest closed walk of the target class at base_face, by move order.
+
+    A reverse search from (base_face, target) labels each state with its
+    distance to the goal; the walk then steps from (base_face, 0) by the
+    first move in ``basis.moves`` order that stays in the box and gets one
+    step closer.  That is the walk a FIFO BFS trying moves in that order
+    finds.  None when no such walk fits inside the box.
+    """
+    back = _cover_moves([(f_to, f_from, tuple(-d for d in delta))
+                         for f_from, f_to, delta, _ in basis.moves], h)
+    face, vec = base_face, (0,) * basis.rank
+    start = _lift(h, face, vec)
+    dist = _distances(wmap, basis, h, _lift(h, base_face, target), back, np.array([start]))
+    left = int(dist[start])
+    if left < 0:
+        return None
+    walk = []
+    while left:
+        left -= 1
+        for f_from, f_to, delta, crossing in basis.moves:
+            if f_from == face:
                 new_vec = tuple(a + b for a, b in zip(vec, delta))
-                if any(abs(x) > h for x in new_vec):
-                    continue
-                new_state = (f_to, new_vec)
-                if new_state in parents:
-                    continue
-                parents[new_state] = (state, crossing)
-                if new_state == goal:
-                    crossings = []
-                    here = new_state
-                    while here != start:
-                        prev, move = parents[here]
-                        crossings.append(move)
-                        here = prev
-                    return tuple(reversed(crossings))
-                nxt.append(new_state)
-        frontier = nxt
-    return None
+                if max(map(abs, new_vec)) <= h and dist[_lift(h, f_to, new_vec)] == left:
+                    break
+        else:
+            raise InternalError("a labelled state has no move one step closer")
+        walk.append(crossing)
+        face, vec = f_to, new_vec
+    return tuple(walk)
 
 
 def min_single_cycle(
@@ -242,17 +250,17 @@ def min_single_cycle(
     """Minimum length of one closed dual walk of class exactly a, with witness.
 
     Raises BoxExceeded when no such walk fits inside the truncation box, and
-    ResourceLimit, before searching, when the box is over MAX_COVER_STATES.
+    ResourceLimit, before allocating its table, when the box is over
+    MAX_COVER_STATES.
     """
     a = tuple(int(x) for x in a)
     if len(a) != basis.rank:
         raise ValueError(f"class must have {basis.rank} coordinates")
     if h < max((abs(x) for x in a), default=0):
         raise ValueError("truncation radius is smaller than the class itself")
-    _cover_states(wmap, basis, h)
     best: Walk | None = None
     for f0 in range(len(wmap.faces)):
-        walk = _bfs_walk(wmap, basis, a, h, f0)
+        walk = _walk(wmap, basis, a, h, f0)
         if walk is not None and (best is None or len(walk) < len(best)):
             best = walk
     if best is None:
@@ -350,7 +358,7 @@ def _certificate(
     total = 0
     for c in sorted(components):
         _, f0 = single[c]
-        walk = _bfs_walk(wmap, basis, c, trunc, f0)
+        walk = _walk(wmap, basis, c, trunc, f0)
         if walk is None:
             raise InternalError("certificate component lost its witness")
         cycles.append((walk, c, len(walk)))

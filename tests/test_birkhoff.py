@@ -4,7 +4,7 @@ from wallnorm import (
     class_of,
     classify,
     concat_closed_walks,
-    eulerian_class_counter,
+    enumerate_eulerian,
     highest_potential,
     homology_basis,
     is_eulerian,
@@ -91,7 +91,7 @@ def test_section_genus_nonnegative_for_realized_points(g11, b11, g22, b22):
 def test_interior_points_are_realizable(g22, b22, genus2, genus2_basis):
     for wmap, basis in ((g22, b22), (genus2, genus2_basis)):
         report = classify(wmap, basis)
-        classes = set(eulerian_class_counter(wmap, basis))
+        classes = set(enumerate_eulerian(wmap, basis).classes)
         for entry in report.entries:
             if entry.status == "interior":
                 assert entry.point in classes

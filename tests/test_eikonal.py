@@ -7,7 +7,7 @@ from wallnorm import (
     class_of,
     contains,
     dual_ball,
-    eulerian_class_counter,
+    enumerate_eulerian,
     extend_highest,
     gamma_parity,
     is_eulerian,
@@ -62,7 +62,7 @@ def test_potential_field_is_eikonal_and_equivariant(g22, b22, genus2, genus2_bas
     for wmap, basis, n, radius in (
         (g22, b22, (0, 0), 3),
         (g22, b22, (2, 0), 3),
-        (genus2, genus2_basis, sorted(eulerian_class_counter(genus2, genus2_basis))[0], 1),
+        (genus2, genus2_basis, sorted(enumerate_eulerian(genus2, genus2_basis).classes)[0], 1),
     ):
         field = potential_field(wmap, basis, n, radius)
         assert field.eikonal_violations(radius) == []
@@ -88,8 +88,6 @@ def test_read_off_consistency(g22, b22):
 
 
 def _all_coorientations(wmap):
-    from wallnorm import enumerate_eulerian
-
     return enumerate_eulerian(wmap).items
 
 
@@ -124,7 +122,7 @@ def test_realize_all_congruent_points(g11, b11, g22, b22, g23, b23):
     for wmap, basis in ((g11, b11), (g22, b22), (g23, b23)):
         ball = dual_ball(wmap, basis)
         parity = gamma_parity(wmap, basis)
-        classes = set(eulerian_class_counter(wmap, basis))
+        classes = set(enumerate_eulerian(wmap, basis).classes)
         ranges = [range(lo, hi + 1) for lo, hi in ball.bounding_box()]
         for point in product(*ranges):
             if any((x - p) % 2 for x, p in zip(point, parity)):
@@ -144,7 +142,7 @@ def test_realize_lookup_method(g22, b22):
 
 
 def test_realize_genus2(genus2, genus2_basis):
-    classes = sorted(eulerian_class_counter(genus2, genus2_basis))
+    classes = sorted(enumerate_eulerian(genus2, genus2_basis).classes)
     target = classes[0]
     result = realize(genus2, genus2_basis, target)
     assert is_eulerian(genus2, result.coorientation)

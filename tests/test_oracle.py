@@ -266,11 +266,43 @@ def test_min_single_cycle_over_budget_is_refused(monkeypatch):
     basis = homology_basis(wmap)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the cover was searched")
+        raise AssertionError("the cover table was allocated")
 
-    monkeypatch.setattr(oracle, "_bfs_walk", refuse)
+    monkeypatch.setattr(oracle.np, "full", refuse)
     with pytest.raises(ResourceLimit, match=r"truncation 9 needs 47045881 states, over the budget"):
         min_single_cycle(wmap, basis, (1, 0, 0, 0, 0, 0), 9)
+
+
+def _seeded_maps(count, max_genus):
+    """The first ``count`` maps of genus <= max_genus, V = 2..5, drawn from seeds 0, 1, ..."""
+    maps = (random_wall_system(2 + seed % 4, random.Random(seed)) for seed in range(10**4))
+    return [m for m, _ in zip((m for m in maps if m.genus <= max_genus), range(count))]
+
+
+def test_walks_match_the_dict_bfs_reference(g11, g22, b22, genus2, genus2_basis):
+    # every class of the radius-1 box, every base face, truncation 3
+    four = fixtures.four_geodesic_example()
+    cases = [(g22, b22), (genus2, genus2_basis), (four, homology_basis(four))]
+    cases += [(m, homology_basis(m)) for m in _seeded_maps(20, 2)]
+    assert max(b.rank for _, b in cases) == 4 and len(cases) == 23
+    for wmap, basis in cases:
+        for c in oracle._box_classes(basis.rank, 1):
+            walks = [oracle._walk(wmap, basis, c, 3, f0) for f0 in range(len(wmap.faces))]
+            assert walks == [reference.bfs_walk(wmap, basis, c, 3, f0)
+                             for f0 in range(len(wmap.faces))]
+            # min_single_cycle keeps the first base face with the shortest walk
+            best = min((w for w in walks if w is not None), key=len)
+            assert min_single_cycle(wmap, basis, c, 3) == (len(best), best)
+    # no walk of class (1, 1) fits the radius-1 box of this skewed basis
+    w1, w2 = homology_basis(g11).cycles
+    skew = set_user_basis(g11, (concat_closed_walks(g11.dual_graph, w1, w1, w2),
+                                concat_closed_walks(g11.dual_graph, w1, w2)))
+    for c in oracle._box_classes(2, 1):
+        walks = [oracle._walk(g11, skew, c, 1, f0) for f0 in range(len(g11.faces))]
+        assert walks == [reference.bfs_walk(g11, skew, c, 1, f0) for f0 in range(len(g11.faces))]
+    assert oracle._walk(g11, skew, (1, 1), 1, 0) is None
+    with pytest.raises(BoxExceeded, match=r"no closed walk of class \(1, 1\)"):
+        min_single_cycle(g11, skew, (1, 1), 1)
 
 
 def _dict_distances(basis, h, base_face):
@@ -312,20 +344,22 @@ def test_cover_distances_match_dict_bfs(g11, b11, g22, b22, genus2, genus2_basis
         for h in truncations:
             side = 2 * h + 1
             box = side**basis.rank
-            moves = oracle._cover_moves(basis, h)
+            moves = oracle._cover_moves([m[:3] for m in basis.moves], h)
             for f0 in range(len(wmap.faces)):
                 expected = np.full(len(wmap.faces) * box, -1, dtype=np.int32)
                 for (face, vec), d in _dict_distances(basis, h, f0).items():
                     expected[face * box + sum((c + h) * side**i for i, c in enumerate(vec))] = d
-                assert np.array_equal(oracle._distances(wmap, basis, h, f0, moves), expected)
+                start = f0 * box + box // 2
+                assert np.array_equal(oracle._distances(wmap, basis, h, start, moves), expected)
 
 
 def _full_sweep_table(wmap, basis, radius, h):
     """The single-cycle table read off full _distances tables (no targets)."""
     side = 2 * h + 1
     box = side**basis.rank
-    moves = oracle._cover_moves(basis, h)
-    dists = [oracle._distances(wmap, basis, h, f0, moves) for f0 in range(len(wmap.faces))]
+    moves = oracle._cover_moves([m[:3] for m in basis.moves], h)
+    dists = [oracle._distances(wmap, basis, h, f0 * box + box // 2, moves)
+             for f0 in range(len(wmap.faces))]
     table = {}
     for c in oracle._box_classes(basis.rank, radius):
         lift = sum((ci + h) * side**i for i, ci in enumerate(c))
@@ -358,8 +392,8 @@ def test_cover_search_stops_early_and_exactly(g11, b11, g22, b22, genus2, genus2
     side = 2 * h + 1
     lifts = np.array([sum((ci + h) * side**i for i, ci in enumerate(c))
                       for c in oracle._box_classes(genus2_basis.rank, 1)])
-    moves = oracle._cover_moves(genus2_basis, h)
-    dist = oracle._distances(genus2, genus2_basis, h, 0, moves, lifts)
+    moves = oracle._cover_moves([m[:3] for m in genus2_basis.moves], h)
+    dist = oracle._distances(genus2, genus2_basis, h, side**4 // 2, moves, lifts)
     assert (h, len(genus2.faces), dist.size) == (7, 1, 50_625)
     assert (dist[lifts] >= 0).all()
     assert np.count_nonzero(dist >= 0) < dist.size
