@@ -5,7 +5,8 @@ realize, birkhoff, svg, fixture.  Text reports are byte-deterministic for
 identical inputs; every class-reporting command takes ``--basis FILE`` and
 echoes the active basis in its header.  Domain errors exit with status 1
 and the error name; usage errors, non-positive ``--box``, ``--radius`` and
-``--max-enum`` among them, exit with status 2.
+``--max-enum`` and a ``WALLNORM_MAX_ENUM`` that is not a positive integer
+among them, exit with status 2.
 
 Each subcommand's arguments are defined once, in ``_SUBCOMMANDS`` (name ->
 help line and the function that adds its arguments).  ``build_parser``
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from . import fixtures
 from .birkhoff import classify
-from .coorient import enumerate_eulerian, eulerian_class_counts
+from .coorient import _enum_cap, enumerate_eulerian, eulerian_class_counts
 from .eikonal import realize
 from .errors import WallNormError
 from .homology import HomologyBasis, basis_from_file, gamma_parity, homology_basis
@@ -50,6 +51,7 @@ class RunConfig:
             value = self.options.get(key)
             if value is not None and value <= 0:
                 raise ValueError(f"--{key.replace('_', '-')} must be positive")
+        _enum_cap(self.options.get("max_enum"))  # a malformed WALLNORM_MAX_ENUM is refused here
 
 
 def _load(config: RunConfig) -> tuple[WallSystemMap, HomologyBasis]:

@@ -23,8 +23,6 @@ from itertools import product
 from operator import mul
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .errors import InternalError, MalformedInput, NotBipartite, NotEulerian, ResourceLimit
 from .homology import Coords, HomologyBasis, _check_basis_map, homology_basis
 from .surface_map import Crossing, WallSystemMap
@@ -127,10 +125,19 @@ class EulerianSet:
 
 
 def _enum_cap(limit: int | None) -> int:
+    """The cap: ``limit``, else a positive integer in ``WALLNORM_MAX_ENUM``, else the default."""
     if limit is not None:
         return limit
     env = os.environ.get(ENUM_CAP_ENV)
-    return int(env) if env else DEFAULT_ENUM_CAP
+    if not env:
+        return DEFAULT_ENUM_CAP
+    try:
+        cap = int(env)  # read as --max-enum is
+        if cap > 0:
+            return cap
+    except ValueError:
+        pass
+    raise ValueError(f"{ENUM_CAP_ENV} must be a positive integer, not {env!r}")
 
 
 def _over_cap(cap: int) -> ResourceLimit:
@@ -267,6 +274,8 @@ _CLASS_BLOCK = 1 << 14  # items per matrix product, bounding the int64 copy
 
 def classes_of(items: Sequence[Coorientation], basis: HomologyBasis) -> Iterator[Coords]:
     """The classes of Eulerian items in their order, one matrix product per block."""
+    import numpy as np  # imported here, not at start-up: it costs most of `import wallnorm`
+
     counts = np.array(basis.cycle_edge_counts, dtype=np.int64).T
     for start in range(0, len(items), _CLASS_BLOCK):
         block = np.array([c.signs for c in items[start:start + _CLASS_BLOCK]], dtype=np.int64)

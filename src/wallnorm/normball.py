@@ -33,8 +33,6 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-import numpy as np
-
 from .coorient import (
     _check_cap, class_of, eulerian_class_counts, is_eulerian,
     support_coorientation,
@@ -246,6 +244,8 @@ def _build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[int | None, 
         count = None
         points, extreme = _genus_one_ball(wmap, basis)
     else:
+        import numpy as np
+
         count, classes = eulerian_class_counts(wmap, basis)
         points = tuple(sorted(classes))
         array = np.array(points, dtype=np.int64)

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import BoxExceeded, InternalError, ResourceLimit, UnstableTruncation
 from .homology import Coords, HomologyBasis
 from .surface_map import Walk, WallSystemMap
@@ -105,6 +103,8 @@ def _distances(
     every target labelled: those distances are final, and states the search
     has not reached yet stay -1.  Without it the whole box is swept.
     """
+    import numpy as np
+
     side = 2 * h + 1
     box = side**basis.rank
     dist = np.full(_cover_states(wmap, basis, h), -1, dtype=np.int32)
@@ -146,6 +146,8 @@ def _single_cycle_table(
     The BFS from base face f0 stops once it has labelled every lift (f0, c)
     of the radius box, long before a small radius sweeps the truncation box.
     """
+    import numpy as np
+
     box = (2 * h + 1) ** basis.rank
     moves = _cover_moves([m[:3] for m in basis.moves], h)
     table = {c: (math.inf, -1) for c in _box_classes(basis.rank, radius)}
@@ -225,7 +227,7 @@ def _walk(
                          for f_from, f_to, delta, _ in basis.moves], h)
     face, vec = base_face, (0,) * basis.rank
     start = _lift(h, face, vec)
-    dist = _distances(wmap, basis, h, _lift(h, base_face, target), back, np.array([start]))
+    dist = _distances(wmap, basis, h, _lift(h, base_face, target), back, [start])
     left = int(dist[start])
     if left < 0:
         return None

@@ -1,12 +1,15 @@
 import io
+import os
 import shutil
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from wallnorm.cli import main
-from wallnorm.coorient import Coorientation
+from wallnorm.coorient import Coorientation, enumerate_eulerian
 from wallnorm.fixtures import grid_basis_text, grid_text
 from wallnorm.surface_map import parse_wall_system
 
@@ -316,6 +319,21 @@ def test_enum_cap_env(workdir, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("value", ["abc", "-3", "0"])
+def test_malformed_enum_cap_env_is_usage_error(workdir, monkeypatch, capsys, value):
+    # refused like --max-enum: before the header, naming the variable
+    monkeypatch.setenv("WALLNORM_MAX_ENUM", value)
+    message = f"WALLNORM_MAX_ENUM must be a positive integer, not {value!r}"
+    with pytest.raises(ValueError, match=message):
+        enumerate_eulerian(parse_wall_system(grid_text(1, 1)))
+    capsys.readouterr()
+    for args in (["coorientations", "--classes"], ["norm", "4", "1"]):
+        out = io.StringIO()
+        assert main([args[0], str(workdir / "G22.wall"), *args[1:]], out=out) == 2
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 def test_enum_cap_env_warm(workdir, monkeypatch, capsys):
     # genus 2: the dual ball comes from the count of 10 coorientations, norm never does
     from wallnorm import dual_ball, homology_basis, norm
@@ -384,6 +402,36 @@ def test_module_entry_point(workdir):
     )
     assert result.returncode == 0
     assert result.stdout == run_cli(args)[1]
+
+
+def test_requests_start_without_numpy(workdir):
+    # numpy is imported where array work runs: it costs most of `import wallnorm`
+    from wallnorm import fixtures
+
+    g22 = str(workdir / "G22.wall")
+    genus2 = workdir / "genus2.wall"
+    genus2.write_text(fixtures.genus2_example().canonical_text)
+    lean = [
+        ["coorientations", g22, "--classes"], ["norm", g22, "4", "1"], ["ball", g22],
+        ["birkhoff", g22], ["realize", g22, "0", "0"], ["svg", g22],
+        ["norm", str(genus2), "1", "0", "0", "0"], ["birkhoff", str(genus2)],
+        ["realize", str(genus2), "1", "-1", "-1", "-1"],
+    ]
+    script = textwrap.dedent(f"""
+        import io, sys
+        import wallnorm, wallnorm.cli
+        print("import", 0, "numpy" in sys.modules)
+        for argv in {lean!r} + [["oracle", {g22!r}, "1", "0"]]:
+            code = wallnorm.cli.main(argv, out=io.StringIO())
+            print(argv[0], code, "numpy" in sys.modules)
+    """)
+    src = str(Path(fixtures.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+    expected = [["import", "0", "False"]] + [[argv[0], "0", "False"] for argv in lean]
+    assert [line.split() for line in result.stdout.splitlines()] == expected + [
+        ["oracle", "0", "True"]]
 
 
 # one valid argv per subcommand; the parity test derives the bad ones from it

@@ -248,7 +248,7 @@ def test_cover_table_over_budget_is_refused(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the cover table was allocated")
 
-    monkeypatch.setattr(oracle.np, "full", refuse)
+    monkeypatch.setattr(np, "full", refuse)
     with pytest.raises(ResourceLimit, match="over the budget"):
         verify_min_equals_max(wmap, basis, 1)
     with pytest.raises(ResourceLimit, match="truncation 9 needs"):
@@ -268,7 +268,7 @@ def test_min_single_cycle_over_budget_is_refused(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the cover table was allocated")
 
-    monkeypatch.setattr(oracle.np, "full", refuse)
+    monkeypatch.setattr(np, "full", refuse)
     with pytest.raises(ResourceLimit, match=r"truncation 9 needs 47045881 states, over the budget"):
         min_single_cycle(wmap, basis, (1, 0, 0, 0, 0, 0), 9)
 
