@@ -20,6 +20,9 @@ The package computes, with integer and rational arithmetic only:
   truncated maximal abelian cover plus a decomposition dynamic program),
 * classification of negative Birkhoff cross sections as interior lattice
   points of the dual ball, with the topological invariants of each section.
+
+Of these results only the dual ball is kept, on its basis, for the
+basis's lifetime.
 """
 
 from . import fixtures
@@ -94,13 +97,10 @@ from .oracle import (
     verify_min_equals_max,
 )
 from .eikonal import (
-    EikonalField,
     HighestPotential,
     RealizationResult,
-    extend_highest,
     highest_potential,
     realize,
-    seed_values,
 )
 from .birkhoff import (
     ClassificationReport,

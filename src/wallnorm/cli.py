@@ -34,7 +34,7 @@ from .homology import HomologyBasis, basis_from_file, gamma_parity, homology_bas
 from .normball import dual_ball, norm
 from .oracle import min_multicurve, verify_min_equals_max
 from .surface_map import WallSystemMap, parse_wall_system
-from .svg import render_svg
+from .svg import check_genus_one, render_svg
 
 
 @dataclass(frozen=True)
@@ -235,6 +235,7 @@ def cmd_birkhoff(config: RunConfig, out) -> int:
 
 def cmd_svg(config: RunConfig, out) -> int:
     wmap, basis = _load(config)
+    check_genus_one(basis.rank)  # before the ball and the classification are paid for
     ball = dual_ball(wmap, basis)
     report = classify(wmap, basis, ball)
     text = render_svg(ball, [(e.point, e.status) for e in report.entries])

@@ -147,7 +147,7 @@ def _over_cap(cap: int) -> ResourceLimit:
 
 
 def _check_cap(count: int, limit: int | None = None) -> None:
-    """Raise ResourceLimit for `count` kept items over the cap, as a fresh enumeration would."""
+    """Raise ResourceLimit for `count` items over the cap, as an enumeration finding them would."""
     cap = _enum_cap(limit)
     if count > cap:
         raise _over_cap(cap)
@@ -251,22 +251,14 @@ def enumerate_eulerian(
 ) -> EulerianSet:
     """Exhaustive, duplicate-free Eulerian enumeration with class multiset.
 
-    The items are kept on the map and the class multiset on the basis, each
-    for the lifetime of that object; the cap applies alike to a fresh and
-    to a kept enumeration.  Raises InternalError for a basis of another map.
+    Every call enumerates afresh and keeps nothing.  Raises InternalError
+    for a basis of another map.
     """
     if basis is None:
         basis = homology_basis(wmap)
     _check_basis_map(wmap, basis)
-    items = wmap._memo.get("eulerian")
-    if items is None:
-        items = wmap._memo["eulerian"] = tuple(iter_eulerian(wmap, limit))
-    else:
-        _check_cap(len(items), limit)
-    classes = basis._memo.get("classes")
-    if classes is None:
-        classes = basis._memo["classes"] = Counter(classes_of(items, basis))
-    return EulerianSet(len(items), items, classes)
+    items = tuple(iter_eulerian(wmap, limit))
+    return EulerianSet(len(items), items, Counter(classes_of(items, basis)))
 
 
 _CLASS_BLOCK = 1 << 14  # items per matrix product, bounding the int64 copy

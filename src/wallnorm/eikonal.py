@@ -28,20 +28,14 @@ When n is inside the ball and congruent to the crossing parity class,
 f is eikonal, changing by exactly one across every wall, and the change
 n.w_e + g(left) - g(right) descends to a coorientation of the wall system:
 the realization.
-
-``extend_highest`` computes the same extension on a truncated box of the
-cover, by multi-source shortest paths; it is kept as an independent check
-of the potential, off the realization path.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .coorient import (
     Coorientation, _parent_cycle, class_of, classes_of, enumerate_eulerian, is_eulerian,
@@ -50,143 +44,6 @@ from .errors import InternalError, NotRealizable
 from .homology import Coords, HomologyBasis, gamma_parity
 from .simplex import affine_dimension
 from .surface_map import Crossing, Walk, WallSystemMap
-
-State = tuple[int, Coords]
-
-
-def seed_values(basis: HomologyBasis, n: Sequence[int], radius: int,
-                base_face: int = 0) -> dict[Coords, int]:
-    """The seed n.h on every lift (base_face, h) with |h_i| <= radius."""
-    n = tuple(int(x) for x in n)
-    if len(n) != basis.rank:
-        raise ValueError(f"target class must have {basis.rank} coordinates")
-    out = {}
-    for h in product(range(-radius, radius + 1), repeat=basis.rank):
-        out[h] = sum(ni * hi for ni, hi in zip(n, h))
-    return out
-
-
-@dataclass(frozen=True)
-class EikonalField:
-    """Values of the highest extension on the truncated cover box."""
-
-    wmap: WallSystemMap
-    basis: HomologyBasis
-    target: Coords
-    radius: int
-    base_face: int
-    values: dict[State, int]
-
-    def lifted_pairs(self, edge: int, radius: int) -> Iterator[tuple[State, State]]:
-        """All (right lift, left lift) pairs across a wall inside the radius."""
-        right, left = self.wmap.dual_graph.ends[edge]
-        delta = self.basis.edge_weights[edge]
-        for h in product(range(-radius, radius + 1), repeat=self.basis.rank):
-            h_left = tuple(a + b for a, b in zip(h, delta))
-            if all(abs(x) <= radius for x in h_left):
-                yield (right, h), (left, h_left)
-
-    def eikonal_violations(self, radius: int) -> list[tuple[State, State, int | None]]:
-        """Wall crossings inside the radius where the step is not exactly one.
-
-        A state the extension never reached counts as a violation (step None).
-        """
-        out = []
-        for e in range(self.wmap.edge_count):
-            for right_state, left_state in self.lifted_pairs(e, radius):
-                left = self.values.get(left_state)
-                right = self.values.get(right_state)
-                if left is None or right is None:
-                    out.append((right_state, left_state, None))
-                elif abs(left - right) != 1:
-                    out.append((right_state, left_state, left - right))
-        return out
-
-    def equivariance_violations(self, radius: int) -> list[tuple[State, State]]:
-        """State pairs (same face) inside the radius breaking f(h+u)-f(h) = n.u."""
-        out = []
-        box = [h for h in product(range(-radius, radius + 1), repeat=self.basis.rank)]
-        for face in range(len(self.wmap.faces)):
-            for h1 in box:
-                v1 = self.values.get((face, h1))
-                for h2 in box:
-                    v2 = self.values.get((face, h2))
-                    expected = sum(
-                        ni * (a - b) for ni, a, b in zip(self.target, h2, h1)
-                    )
-                    if v1 is None or v2 is None or v2 - v1 != expected:
-                        out.append(((face, h1), (face, h2)))
-        return out
-
-
-def extend_highest(
-    wmap: WallSystemMap,
-    basis: HomologyBasis,
-    seed: dict[Coords, int],
-    radius: int,
-    base_face: int = 0,
-    target: Sequence[int] | None = None,
-) -> EikonalField:
-    """Highest extension of the seed to all cover states inside the box.
-
-    Implemented as a multi-source shortest-path relaxation: every seed lift
-    starts at its seed value and every wall crossing costs one.  The target
-    class (used by the equivariance check) is read off the seed's unit
-    lifts when not passed explicitly.
-    """
-    rank = basis.rank
-    if target is None:
-        target = tuple(
-            seed.get(tuple(int(i == j) for j in range(rank)), 0) for i in range(rank)
-        )
-    values: dict[State, int] = {}
-    heap: list[tuple[int, State]] = []
-    for h, v in seed.items():
-        if all(abs(x) <= radius for x in h):
-            heapq.heappush(heap, (v, (base_face, h)))
-    moves = basis.moves
-    while heap:
-        value, state = heapq.heappop(heap)
-        if state in values:
-            continue
-        values[state] = value
-        face, h = state
-        for f_from, f_to, delta, _ in moves:
-            if f_from != face:
-                continue
-            h_new = tuple(a + b for a, b in zip(h, delta))
-            if any(abs(x) > radius for x in h_new):
-                continue
-            nxt = (f_to, h_new)
-            if nxt not in values:
-                heapq.heappush(heap, (value + 1, nxt))
-    n = tuple(int(x) for x in target)
-    return EikonalField(wmap, basis, n, radius, base_face, values)
-
-
-def read_coorientation(field: EikonalField, safe_radius: int) -> Coorientation | None:
-    """Read edge signs from value differences across lifted walls.
-
-    Returns None when some edge has no lifted pair inside the safe box, a
-    step other than one, or inconsistent steps between different lifts;
-    those all mean the truncation is still too tight.
-    """
-    signs = []
-    for e in range(field.wmap.edge_count):
-        step = None
-        for right_state, left_state in field.lifted_pairs(e, safe_radius):
-            left = field.values.get(left_state)
-            right = field.values.get(right_state)
-            if left is None or right is None:
-                return None
-            s = left - right
-            if abs(s) != 1 or (step is not None and s != step):
-                return None
-            step = s
-        if step is None:
-            return None
-        signs.append(step)
-    return Coorientation(tuple(signs))
 
 
 @dataclass(frozen=True)

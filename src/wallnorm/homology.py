@@ -61,8 +61,8 @@ class HomologyBasis:
     cycles: tuple[Walk, ...]
     cocycles: tuple[tuple[int, ...], ...]
     label: str = "auto"
-    # results derived from this basis (class multiset, dual ball), kept for
-    # its lifetime; not part of equality, hash or repr
+    # the dual ball, kept for the basis's lifetime (see normball.dual_ball);
+    # not part of equality, hash or repr
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -253,13 +253,7 @@ def homology_basis(wmap: WallSystemMap) -> HomologyBasis:
     quotiented by the image of d2 via Smith normal form; the surviving free
     generators give the cycles and the matching rows of the transform give
     the cocycles.  Raises TorsionDetected if the quotient is not free.
-    The basis is kept on the map: every call for the same map object
-    returns the same basis.
     """
-    kept = wmap._memo.get("basis")
-    if kept is not None:
-        return kept
-
     dual = wmap.dual_graph
     tree, parents = _spanning_tree(dual)
     nontree = [e for e in range(wmap.edge_count) if e not in tree]
@@ -303,7 +297,6 @@ def homology_basis(wmap: WallSystemMap) -> HomologyBasis:
 
     basis = HomologyBasis(wmap, tuple(cycles), tuple(cocycles), label="auto")
     _check_basis(basis, bnd)
-    wmap._memo["basis"] = basis
     return basis
 
 

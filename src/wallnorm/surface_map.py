@@ -188,9 +188,6 @@ class WallSystemMap:
         self.vertex_count = int(vertex_count)
         self.rotations = rotations
         self.edges = edges
-        # results derived from this map (Eulerian items, auto basis), kept
-        # for its lifetime; not part of equality, hash or repr
-        self._memo: dict = {}
         self._validate()
 
     # -- validation -------------------------------------------------------

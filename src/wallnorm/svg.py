@@ -8,7 +8,6 @@ integer pixel coordinates, no timestamps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateBall, WrongGenus
@@ -25,22 +24,17 @@ STATUS_COLORS = {
 }
 
 
-@dataclass(frozen=True)
-class SvgScene:
-    """Scaled geometry of one dual-ball picture (genus one only)."""
-
-    width: int
-    height: int
-    polygon: tuple[tuple[int, int], ...]
-    markers: tuple[tuple[int, int, str], ...]  # (x, y, color)
-    origin: tuple[int, int]
+def check_genus_one(rank: int) -> None:
+    """Raise WrongGenus unless classes have the 2 coordinates of a genus-one map."""
+    if rank != 2:
+        raise WrongGenus(f"SVG rendering needs 2 coordinates, got {rank}")
 
 
-def build_scene(ball: DualBall, statuses: Sequence[tuple[Coords, str]]) -> SvgScene:
+def render_svg(ball: DualBall, statuses: Sequence[tuple[Coords, str]]) -> str:
+    """SVG text for a genus-one dual ball with classified lattice points."""
     if not ball.points:
         raise DegenerateBall("cannot render an empty class set")
-    if ball.ambient_dim != 2:
-        raise WrongGenus(f"SVG rendering needs 2 coordinates, got {ball.ambient_dim}")
+    check_genus_one(ball.ambient_dim)
     if ball.polygon is None:
         raise DegenerateBall("dual ball has no boundary polygon to draw")
 
@@ -52,32 +46,20 @@ def build_scene(ball: DualBall, statuses: Sequence[tuple[Coords, str]]) -> SvgSc
     def pix(p: Sequence[int]) -> tuple[int, int]:
         return (p[0] - min_x) * SCALE, (max_y - p[1]) * SCALE
 
-    return SvgScene(
-        width=(max_x - min_x) * SCALE,
-        height=(max_y - min_y) * SCALE,
-        polygon=tuple(pix(p) for p in ball.polygon),
-        markers=tuple(
-            (*pix(point), STATUS_COLORS[status]) for point, status in statuses
-        ),
-        origin=pix((0, 0)),
-    )
-
-
-def render_svg(ball: DualBall, statuses: Sequence[tuple[Coords, str]]) -> str:
-    """SVG text for a genus-one dual ball with classified lattice points."""
-    scene = build_scene(ball, statuses)
+    width, height = (max_x - min_x) * SCALE, (max_y - min_y) * SCALE
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{scene.width}" '
-        f'height="{scene.height}" viewBox="0 0 {scene.width} {scene.height}">',
-        f'<rect width="{scene.width}" height="{scene.height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    corners = " ".join(f"{x},{y}" for x, y in scene.polygon)
+    corners = " ".join(f"{x},{y}" for x, y in map(pix, ball.polygon))
     lines.append(
         f'<polygon points="{corners}" fill="#edf2f7" stroke="#1a202c" stroke-width="2"/>'
     )
-    for x, y, color in scene.markers:
-        lines.append(f'<circle cx="{x}" cy="{y}" r="6" fill="{color}"/>')
-    ox, oy = scene.origin
+    for point, status in statuses:
+        x, y = pix(point)
+        lines.append(f'<circle cx="{x}" cy="{y}" r="6" fill="{STATUS_COLORS[status]}"/>')
+    ox, oy = pix((0, 0))
     lines.append(
         f'<circle cx="{ox}" cy="{oy}" r="6" fill="#ffffff" stroke="#1a202c" stroke-width="2"/>'
     )

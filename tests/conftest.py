@@ -3,8 +3,10 @@ from itertools import product
 
 import pytest
 
-from wallnorm import EikonalField, fixtures, highest_potential, homology_basis
+from wallnorm import fixtures, highest_potential, homology_basis
 from wallnorm.fixtures import grid_basis, grid_map
+
+from reference import EikonalField
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,31 @@
 """Reference implementations the tests compare the package against.
 
 They are the plain forms of computations the package does faster, kept
-only to check that the faster form gives identical results.
+only to check that the faster form gives identical results.  Two of them
+compute the package's answers another way:
+
+* ``solve_lp``, a textbook two-phase tableau simplex with Bland's rule
+  over Fractions, and ``hull_position``, which places a point against a
+  convex hull with it, are what the highest potential's ball position is
+  held to.  Problem sizes are tiny (a handful of equality constraints,
+  dozens of variables), so termination and exactness matter and
+  asymptotics do not.
+* ``extend_highest`` computes the highest eikonal extension on a
+  truncated box of the cover, by multi-source shortest paths, and
+  ``read_coorientation`` reads a coorientation off it: the potential and
+  the realization are held to them.
 """
 
 from __future__ import annotations
 
+import heapq
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+from typing import Iterator, Sequence
+
+from wallnorm.coorient import Coorientation
+from wallnorm.errors import InternalError
 from wallnorm.homology import Coords, HomologyBasis
 from wallnorm.surface_map import Walk, WallSystemMap
 
@@ -85,3 +105,279 @@ def bfs_walk(
                 nxt.append(new_state)
         frontier = nxt
     return None
+
+
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
+
+
+class _Unbounded(Exception):
+    pass
+
+
+class _Tableau:
+    """Equality-form tableau: columns are n originals, m artificials, rhs."""
+
+    def __init__(self, a: Sequence[Sequence[Fraction]], b: Sequence[Fraction], n: int):
+        self.n = n
+        self.m = len(a)
+        self.width = n + self.m
+        self.rows: list[list[Fraction]] = []
+        self.basis: list[int] = []
+        for i in range(self.m):
+            row = [Fraction(x) for x in a[i]]
+            rhs = Fraction(b[i])
+            if rhs < 0:
+                row = [-x for x in row]
+                rhs = -rhs
+            row += [Fraction(int(i == j)) for j in range(self.m)]
+            row.append(rhs)
+            self.rows.append(row)
+            self.basis.append(n + i)
+
+    def pivot(self, row: int, col: int) -> None:
+        inv = 1 / self.rows[row][col]
+        self.rows[row] = [x * inv for x in self.rows[row]]
+        for i in range(self.m):
+            if i != row and self.rows[i][col] != 0:
+                factor = self.rows[i][col]
+                self.rows[i] = [x - factor * y for x, y in zip(self.rows[i], self.rows[row])]
+        self.basis[row] = col
+
+    def reduced_costs(self, costs: list[Fraction]) -> list[Fraction]:
+        reduced = costs + [Fraction(0)]
+        for i, bi in enumerate(self.basis):
+            cb = costs[bi]
+            if cb:
+                reduced = [x - cb * y for x, y in zip(reduced, self.rows[i])]
+        return reduced
+
+    def maximize(self, costs: list[Fraction], allowed: int) -> Fraction:
+        """Bland's-rule simplex over columns < allowed from the current basis."""
+        while True:
+            reduced = self.reduced_costs(costs)
+            entering = next((j for j in range(allowed) if reduced[j] > 0), None)
+            if entering is None:
+                return -reduced[self.width]
+            leaving = None
+            best = None
+            for i in range(self.m):
+                coeff = self.rows[i][entering]
+                if coeff > 0:
+                    ratio = self.rows[i][-1] / coeff
+                    if best is None or ratio < best or (
+                        ratio == best and self.basis[i] < self.basis[leaving]
+                    ):
+                        best = ratio
+                        leaving = i
+            if leaving is None:
+                raise _Unbounded()
+            self.pivot(leaving, entering)
+
+    def drop_redundant_rows(self) -> None:
+        """After phase one: pivot artificials out, delete redundant rows."""
+        for i in range(self.m):
+            if self.basis[i] >= self.n:
+                col = next((j for j in range(self.n) if self.rows[i][j] != 0), None)
+                if col is not None:
+                    self.pivot(i, col)
+        keep = [i for i in range(self.m) if self.basis[i] < self.n]
+        for i in range(self.m):
+            if self.basis[i] >= self.n and self.rows[i][-1] != 0:
+                raise InternalError("artificial basic at nonzero after phase one")
+        self.rows = [self.rows[i] for i in keep]
+        self.basis = [self.basis[i] for i in keep]
+        self.m = len(keep)
+
+
+def solve_lp(
+    a: Sequence[Sequence[Fraction]],
+    b: Sequence[Fraction],
+    c: Sequence[Fraction],
+) -> tuple[str, list[Fraction] | None, Fraction | None]:
+    """Maximize c.x subject to a.x = b, x >= 0.
+
+    Returns (status, x, value); x and value are None unless optimal.
+    """
+    n = len(c)
+    tableau = _Tableau(a, b, n)
+    phase1 = [Fraction(0)] * n + [Fraction(-1)] * tableau.m
+    value = tableau.maximize(phase1, tableau.width)
+    if value != 0:
+        return INFEASIBLE, None, None
+    tableau.drop_redundant_rows()
+
+    phase2 = [Fraction(x) for x in c] + [Fraction(0)] * (tableau.width - n)
+    try:
+        value = tableau.maximize(phase2, n)
+    except _Unbounded:
+        return UNBOUNDED, None, None
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(tableau.basis):
+        if bi < n:
+            x[bi] = tableau.rows[i][-1]
+    return OPTIMAL, x, value
+
+
+def hull_position(points: Sequence[Sequence[int]], target: Sequence[int]) -> str:
+    """Classify target against conv(points): 'outside', 'boundary', 'interior'.
+
+    Interior means a convex combination with every coefficient strictly
+    positive exists, decided by maximizing the minimum coefficient; that
+    characterizes the relative interior, which equals the interior when the
+    points affinely span the ambient space.
+    """
+    if not points:
+        return "outside"
+    dim = len(target)
+    n = len(points)
+    # write lambda_i = mu_i + t with mu, t >= 0 and maximize t
+    a = [[Fraction(1)] * n + [Fraction(n)]]
+    b = [Fraction(1)]
+    for k in range(dim):
+        a.append([Fraction(p[k]) for p in points] + [Fraction(sum(p[k] for p in points))])
+        b.append(Fraction(target[k]))
+    c = [Fraction(0)] * n + [Fraction(1)]
+    status, _, value = solve_lp(a, b, c)
+    if status != OPTIMAL:
+        return "outside"
+    return "interior" if value > 0 else "boundary"
+
+
+State = tuple[int, Coords]
+
+
+def seed_values(basis: HomologyBasis, n: Sequence[int], radius: int,
+                base_face: int = 0) -> dict[Coords, int]:
+    """The seed n.h on every lift (base_face, h) with |h_i| <= radius."""
+    n = tuple(int(x) for x in n)
+    if len(n) != basis.rank:
+        raise ValueError(f"target class must have {basis.rank} coordinates")
+    out = {}
+    for h in product(range(-radius, radius + 1), repeat=basis.rank):
+        out[h] = sum(ni * hi for ni, hi in zip(n, h))
+    return out
+
+
+@dataclass(frozen=True)
+class EikonalField:
+    """Values of the highest extension on the truncated cover box."""
+
+    wmap: WallSystemMap
+    basis: HomologyBasis
+    target: Coords
+    radius: int
+    base_face: int
+    values: dict[State, int]
+
+    def lifted_pairs(self, edge: int, radius: int) -> Iterator[tuple[State, State]]:
+        """All (right lift, left lift) pairs across a wall inside the radius."""
+        right, left = self.wmap.dual_graph.ends[edge]
+        delta = self.basis.edge_weights[edge]
+        for h in product(range(-radius, radius + 1), repeat=self.basis.rank):
+            h_left = tuple(a + b for a, b in zip(h, delta))
+            if all(abs(x) <= radius for x in h_left):
+                yield (right, h), (left, h_left)
+
+    def eikonal_violations(self, radius: int) -> list[tuple[State, State, int | None]]:
+        """Wall crossings inside the radius where the step is not exactly one.
+
+        A state the extension never reached counts as a violation (step None).
+        """
+        out = []
+        for e in range(self.wmap.edge_count):
+            for right_state, left_state in self.lifted_pairs(e, radius):
+                left = self.values.get(left_state)
+                right = self.values.get(right_state)
+                if left is None or right is None:
+                    out.append((right_state, left_state, None))
+                elif abs(left - right) != 1:
+                    out.append((right_state, left_state, left - right))
+        return out
+
+    def equivariance_violations(self, radius: int) -> list[tuple[State, State]]:
+        """State pairs (same face) inside the radius breaking f(h+u)-f(h) = n.u."""
+        out = []
+        box = [h for h in product(range(-radius, radius + 1), repeat=self.basis.rank)]
+        for face in range(len(self.wmap.faces)):
+            for h1 in box:
+                v1 = self.values.get((face, h1))
+                for h2 in box:
+                    v2 = self.values.get((face, h2))
+                    expected = sum(
+                        ni * (a - b) for ni, a, b in zip(self.target, h2, h1)
+                    )
+                    if v1 is None or v2 is None or v2 - v1 != expected:
+                        out.append(((face, h1), (face, h2)))
+        return out
+
+
+def extend_highest(
+    wmap: WallSystemMap,
+    basis: HomologyBasis,
+    seed: dict[Coords, int],
+    radius: int,
+    base_face: int = 0,
+    target: Sequence[int] | None = None,
+) -> EikonalField:
+    """Highest extension of the seed to all cover states inside the box.
+
+    Implemented as a multi-source shortest-path relaxation: every seed lift
+    starts at its seed value and every wall crossing costs one.  The target
+    class (used by the equivariance check) is read off the seed's unit
+    lifts when not passed explicitly.
+    """
+    rank = basis.rank
+    if target is None:
+        target = tuple(
+            seed.get(tuple(int(i == j) for j in range(rank)), 0) for i in range(rank)
+        )
+    values: dict[State, int] = {}
+    heap: list[tuple[int, State]] = []
+    for h, v in seed.items():
+        if all(abs(x) <= radius for x in h):
+            heapq.heappush(heap, (v, (base_face, h)))
+    moves = basis.moves
+    while heap:
+        value, state = heapq.heappop(heap)
+        if state in values:
+            continue
+        values[state] = value
+        face, h = state
+        for f_from, f_to, delta, _ in moves:
+            if f_from != face:
+                continue
+            h_new = tuple(a + b for a, b in zip(h, delta))
+            if any(abs(x) > radius for x in h_new):
+                continue
+            nxt = (f_to, h_new)
+            if nxt not in values:
+                heapq.heappush(heap, (value + 1, nxt))
+    n = tuple(int(x) for x in target)
+    return EikonalField(wmap, basis, n, radius, base_face, values)
+
+
+def read_coorientation(field: EikonalField, safe_radius: int) -> Coorientation | None:
+    """Read edge signs from value differences across lifted walls.
+
+    Returns None when some edge has no lifted pair inside the safe box, a
+    step other than one, or inconsistent steps between different lifts;
+    those all mean the truncation is still too tight.
+    """
+    signs = []
+    for e in range(field.wmap.edge_count):
+        step = None
+        for right_state, left_state in field.lifted_pairs(e, safe_radius):
+            left = field.values.get(left_state)
+            right = field.values.get(right_state)
+            if left is None or right is None:
+                return None
+            s = left - right
+            if abs(s) != 1 or (step is not None and s != step):
+                return None
+            step = s
+        if step is None:
+            return None
+        signs.append(step)
+    return Coorientation(tuple(signs))

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 All comparisons are exact; the timed criteria measure fresh computations
-(each builds its own maps, and results are kept only on those objects).
+(each builds its own maps; only the dual ball is kept, on its basis).
 """
 
 import io
@@ -21,14 +21,12 @@ from wallnorm import (
     dual_ball,
     enumerate_eulerian,
     evaluate,
-    extend_highest,
     gamma_parity,
     homology_basis,
     is_eulerian,
     norm,
     realize,
     reverse_walk,
-    seed_values,
     verify_min_equals_max,
 )
 from wallnorm.cli import main
@@ -43,6 +41,7 @@ from wallnorm.fixtures import (
 )
 
 from conftest import potential_field, random_closed_walk
+from reference import extend_highest, seed_values
 
 
 @contextmanager

