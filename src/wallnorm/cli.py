@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import fixtures
 from .birkhoff import classify
-from .coorient import _enum_cap, enumerate_eulerian, eulerian_class_counts
+from .coorient import _check_cap, _enum_cap, enumerate_eulerian, eulerian_class_counts
 from .eikonal import realize
 from .errors import WallNormError
 from .homology import HomologyBasis, basis_from_file, gamma_parity, homology_basis
@@ -94,8 +94,9 @@ def cmd_coorientations(config: RunConfig, out) -> int:
     if list_dir:  # only listing needs the coorientations themselves
         eul = enumerate_eulerian(wmap, basis, limit)
         count, classes = eul.count, eul.classes
-    else:
-        count, classes = eulerian_class_counts(wmap, basis, limit)
+    else:  # counted, not listed; the cap still refuses as the listing would
+        count, classes = eulerian_class_counts(wmap, basis)
+        _check_cap(count, limit)
     print(f"eulerian {count}", file=out)
     if config.options.get("classes"):
         for point in sorted(classes):

@@ -10,8 +10,9 @@ through homology only, so it carries an integer cohomology class.
 ``eulerian_class_counts`` counts them and their classes with a
 transfer-matrix DP and lists none; the reports that need only the count
 and the class multiset use it.  ``enumerate_eulerian`` lists them, for
-``coorientations --list``, the lookup realization and the tests; the two
-share the cap and the edge order, and nothing else.
+``coorientations --list``, the lookup realization and the tests.  The
+two share the edge order and nothing else; only listing meets the
+enumeration cap, and ``coorientations`` applies it to a count too.
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ def classes_of(items: Sequence[Coorientation], basis: HomologyBasis) -> Iterator
 
 
 def eulerian_class_counts(
-    wmap: WallSystemMap, basis: HomologyBasis, limit: int | None = None
+    wmap: WallSystemMap, basis: HomologyBasis
 ) -> tuple[int, "Counter[Coords]"]:
     """The number of Eulerian coorientations and their class multiset, by transfer matrix.
 
@@ -294,11 +295,10 @@ def eulerian_class_counts(
     field stays within its width, so adding the packed step of a sign adds
     it field by field.
 
-    The cap acts as on the enumeration: a count over it raises the same
-    ResourceLimit.  A layer of more than MAX_DP_STATES states is refused
-    with ResourceLimit while the DP runs, as soon as it is built.  Nothing
-    is kept on the map or the basis.  Raises InternalError for a basis of
-    another map.
+    The enumeration cap does not apply: nothing is listed.  A layer of
+    more than MAX_DP_STATES states is refused with ResourceLimit while the
+    DP runs, as soon as it is built.  Nothing is kept on the map or the
+    basis.  Raises InternalError for a basis of another map.
     """
     _check_basis_map(wmap, basis)
     counts = basis.cycle_edge_counts
@@ -363,9 +363,7 @@ def eulerian_class_counts(
         if state & frontier_mask != frontier_zero:
             raise InternalError("the class count closed a vertex with a nonzero sum")
         classes[tuple((state >> sh & mask) - bias for sh, bias, mask in fields)] += ways
-    total = sum(classes.values())
-    _check_cap(total, limit)
-    return total, classes
+    return sum(classes.values()), classes
 
 
 def support_coorientation(

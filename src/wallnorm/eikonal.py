@@ -38,7 +38,7 @@ from operator import mul
 from typing import Sequence
 
 from .coorient import (
-    Coorientation, _parent_cycle, class_of, classes_of, enumerate_eulerian, is_eulerian,
+    Coorientation, _parent_cycle, class_of, classes_of, is_eulerian, iter_eulerian,
 )
 from .errors import InternalError, NotRealizable
 from .homology import Coords, HomologyBasis, gamma_parity
@@ -228,8 +228,12 @@ def realize(
 
 
 def _lookup(wmap: WallSystemMap, basis: HomologyBasis, n: Coords) -> RealizationResult:
-    """The first Eulerian coorientation of class n in enumeration order."""
-    items = enumerate_eulerian(wmap, basis).items
+    """The first Eulerian coorientation of class n in enumeration order.
+
+    Each item is classed once; ``realize`` has checked the basis against
+    the map already.
+    """
+    items = tuple(iter_eulerian(wmap))
     for coor, cls in zip(items, classes_of(items, basis)):
         if cls == n:
             return RealizationResult(coor, n, "enumeration-fallback")

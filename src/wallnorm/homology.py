@@ -8,8 +8,10 @@ here is the natural home for evaluating coorientations.
 A basis consists of 2g closed dual walks b_1..b_2g together with integer
 cocycle weight vectors w_1..w_2g on the links such that w_i(b_j) is the
 identity pairing and every w_i vanishes on the boundary of every 2-cell.
-Coordinates reported anywhere in the package are relative to the active
-basis.
+The automatic basis builds each b_i from fundamental loops at face 0 of
+a spanning tree of the dual graph.  Coordinates reported anywhere in the
+package are relative to the active basis; they are read through the
+cocycles, so the shape of a walk matters only through its crossings.
 """
 
 from __future__ import annotations
@@ -150,100 +152,13 @@ def _spanning_tree(dual: DualGraph) -> tuple[set[int], dict[int, tuple[int, Cros
     return tree, parents
 
 
-def _tree_path(parents: dict[int, tuple[int, Crossing]], src: int, dst: int) -> Walk:
-    """Walk src -> dst inside the spanning tree (via their paths to the root)."""
-
-    def to_root(node: int) -> list[Crossing]:
-        crossings = []
-        while node != 0:
-            prev, move = parents[node]
-            crossings.append((move[0], -move[1]))
-            node = prev
-        return crossings
-
-    up = to_root(src)          # src -> root
-    down = to_root(dst)        # dst -> root
-    # cancel the common tail through the root
-    while up and down and up[-1] == down[-1]:
-        up.pop()
-        down.pop()
-    return tuple(up) + reverse_walk(tuple(down))
-
-
-def _chain_to_walk(dual: DualGraph, parents: dict[int, tuple[int, Crossing]],
-                   chain: dict[int, int]) -> Walk:
-    """Turn a 1-cycle chain into one closed walk with the same crossings.
-
-    Components of the support are joined through spanning-tree paths walked
-    there and back, which adds nothing to the chain.  The walk starts at the
-    smallest face in the support and is found by a deterministic Hierholzer
-    traversal.
-    """
-    if not chain:
-        return ()
-    # multiset of directed crossings per start face
-    outgoing: dict[int, list[Crossing]] = {}
-    nodes = set()
-    for e, c in sorted(chain.items()):
-        if c == 0:
-            continue
-        direction = 1 if c > 0 else -1
-        src, dst = dual.crossing_ends(e, direction)
-        nodes.add(src)
-        nodes.add(dst)
-        for _ in range(abs(c)):
-            outgoing.setdefault(src, []).append((e, direction))
-
-    # connect support components to the base through doubled tree paths
-    seen: set[int] = set()
-
-    def reach(start: int) -> None:
-        """Mark every face reachable from start through the chain's support."""
-        seen.add(start)
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for e, direction, other in dual.moves[node]:
-                if chain.get(e) and other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-
-    base = min(nodes)
-    reach(base)
-    missing = sorted(n for n in nodes if n not in seen)
-    while missing:
-        target = missing[0]
-        path = _tree_path(parents, base, target)
-        for e, direction in path:
-            src, _ = dual.crossing_ends(e, direction)
-            outgoing.setdefault(src, []).append((e, direction))
-        for e, direction in reverse_walk(path):
-            src, _ = dual.crossing_ends(e, direction)
-            outgoing.setdefault(src, []).append((e, direction))
-        reach(target)  # its component joins the base component through the path
-        missing = sorted(n for n in nodes if n not in seen)
-
-    for moves in outgoing.values():
-        moves.sort(reverse=True)  # pop() takes the smallest crossing first
-
-    # Hierholzer: in/out degrees balance at every face by construction
-    circuit: list[Crossing] = []
-    stack_faces = [base]
-    stack_moves: list[Crossing] = []
-    while stack_faces:
-        here = stack_faces[-1]
-        if outgoing.get(here):
-            move = outgoing[here].pop()
-            stack_moves.append(move)
-            stack_faces.append(dual.crossing_ends(*move)[1])
-        else:
-            stack_faces.pop()
-            if stack_moves:
-                circuit.append(stack_moves.pop())
-    circuit.reverse()
-    if any(outgoing.values()):
-        raise InternalError("chain left unused crossings")
-    return tuple(circuit)
+def _path_to_root(parents: dict[int, tuple[int, Crossing]], node: int) -> Walk:
+    """The walk from node to face 0 inside the spanning tree."""
+    crossings = []
+    while node != 0:
+        node, (e, direction) = parents[node]
+        crossings.append((e, -direction))
+    return tuple(crossings)
 
 
 def homology_basis(wmap: WallSystemMap) -> HomologyBasis:
@@ -252,7 +167,11 @@ def homology_basis(wmap: WallSystemMap) -> HomologyBasis:
     Fundamental cycles of a greedy spanning tree of the dual graph are
     quotiented by the image of d2 via Smith normal form; the surviving free
     generators give the cycles and the matching rows of the transform give
-    the cocycles.  Raises TorsionDetected if the quotient is not free.
+    the cocycles.  Each cycle is a closed walk from face 0: per non-tree
+    edge e with coefficient c in the generator, the fundamental loop at
+    face 0 (the tree path to e's right face, e crossed right to left, the
+    tree path back from its left face), |c| times, reversed when c < 0.
+    Raises TorsionDetected if the quotient is not free.
     """
     dual = wmap.dual_graph
     tree, parents = _spanning_tree(dual)
@@ -276,19 +195,15 @@ def homology_basis(wmap: WallSystemMap) -> HomologyBasis:
     cycles = []
     cocycles = []
     for i in free:
-        chain: dict[int, int] = {}
+        walk: list[Crossing] = []
         for k, e in enumerate(nontree):
             coeff = snf.u_inverse[k][i]
             if coeff:
-                chain[e] = coeff
-        # expand each non-tree coefficient into its full fundamental cycle
-        full_chain: dict[int, int] = dict(chain)
-        for e, coeff in list(chain.items()):
-            right, left = dual.ends[e]
-            for te, tdir in _tree_path(parents, left, right):
-                full_chain[te] = full_chain.get(te, 0) + coeff * tdir
-        full_chain = {e: c for e, c in full_chain.items() if c}
-        cycles.append(_chain_to_walk(dual, parents, full_chain))
+                right, left = dual.ends[e]
+                loop = (reverse_walk(_path_to_root(parents, right)) + ((e, 1),)
+                        + _path_to_root(parents, left))
+                walk.extend((loop if coeff > 0 else reverse_walk(loop)) * abs(coeff))
+        cycles.append(tuple(walk))
 
         weights = [0] * wmap.edge_count
         for k, e in enumerate(nontree):

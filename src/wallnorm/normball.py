@@ -33,10 +33,7 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .coorient import (
-    _check_cap, class_of, eulerian_class_counts, is_eulerian,
-    support_coorientation,
-)
+from .coorient import class_of, eulerian_class_counts, is_eulerian, support_coorientation
 from .eikonal import highest_potential
 from .errors import DegenerateBall, InternalError
 from .homology import Coords, HomologyBasis, _check_basis_map, gamma_parity
@@ -86,10 +83,10 @@ class DualBall:
 def _kept_extreme(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[Coords, ...] | None:
     """The extreme points of the ball kept on the basis, or None when it keeps none."""
     _check_basis_map(wmap, basis)
-    entry = basis._memo.get("ball")
-    if entry is None:
+    ball = basis._memo.get("ball")
+    if ball is None:
         return None
-    extreme = entry[1].extreme
+    extreme = ball.extreme
     if not extreme:
         raise InternalError("the dual ball has no extreme points")
     return extreme
@@ -230,8 +227,8 @@ def _genus_one_ball(
     return points, tuple(sorted(vertices))
 
 
-def _build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[int | None, DualBall]:
-    """The Eulerian item count (None when nothing was counted) and the dual ball.
+def _build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
+    """The dual ball of the basis, built afresh.
 
     At genus one the polygon is walked with the support oracle and nothing
     is counted.  At higher genus the class points are the classes of the
@@ -241,12 +238,11 @@ def _build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[int | None, 
     pairing is an exposed vertex and skips that test.
     """
     if basis.rank == 2:
-        count = None
         points, extreme = _genus_one_ball(wmap, basis)
     else:
         import numpy as np
 
-        count, classes = eulerian_class_counts(wmap, basis)
+        classes = eulerian_class_counts(wmap, basis)[1]
         points = tuple(sorted(classes))
         array = np.array(points, dtype=np.int64)
         gram = array @ array.T
@@ -266,25 +262,22 @@ def _build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[int | None, 
             for i in range(len(polygon))
         )
         area = abs(Fraction(twice, 2))
-    return count, DualBall(points, extreme, dim, polygon, area, wmap, basis)
+    return DualBall(points, extreme, dim, polygon, area, wmap, basis)
 
 
 def dual_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
     """The dual unit ball with exact extreme points, kept on the basis.
 
     Every call with the same basis object returns the same ball, for the
-    basis's lifetime.  Above genus one the ball comes from the class count,
-    and the enumeration cap is re-checked against the kept item count; the
-    genus-one ball counts nothing and ignores the cap.  Raises
-    InternalError for a basis of another map.
+    basis's lifetime.  No ball lists a coorientation, so the enumeration
+    cap does not apply; above genus one the class count obeys its state
+    budget, MAX_DP_STATES.  Raises InternalError for a basis of another map.
     """
     _check_basis_map(wmap, basis)
-    entry = basis._memo.get("ball")
-    if entry is None:
-        entry = basis._memo["ball"] = _build_ball(wmap, basis)
-    elif entry[0] is not None:  # the cap acts on a kept ball as on a fresh enumeration
-        _check_cap(entry[0])
-    return entry[1]
+    ball = basis._memo.get("ball")
+    if ball is None:
+        ball = basis._memo["ball"] = _build_ball(wmap, basis)
+    return ball
 
 
 def contains(ball: DualBall, p: Sequence[int]) -> str:

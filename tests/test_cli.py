@@ -323,54 +323,33 @@ def test_malformed_enum_cap_env_is_usage_error(workdir, monkeypatch, capsys, val
         assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
-def test_enum_cap_env_warm(workdir, monkeypatch, capsys):
-    # genus 2: the dual ball comes from the count of 10 coorientations, norm never does
+@pytest.mark.parametrize("name", ["G13", "genus2"])
+def test_dual_ball_answers_under_the_enum_cap(workdir, monkeypatch, capsys, name):
+    # no ball lists a coorientation (G13 has 16 Eulerian coorientations,
+    # genus2 10), so ball, norm and birkhoff answer under the cap, cold or
+    # warm; only coorientations, which reports them, is refused
     from wallnorm import dual_ball, homology_basis, norm
-    from wallnorm.errors import ResourceLimit
     from wallnorm.fixtures import genus2_example
 
-    wall = workdir / "genus2.wall"
-    wall.write_text(genus2_example().canonical_text)
+    wall = workdir / f"{name}.wall"
+    wall.write_text(grid_text(1, 3) if name == "G13" else genus2_example().canonical_text)
     wmap = parse_wall_system(wall.read_text())
+    a = (1,) + (0,) * (2 * wmap.genus - 1)
+    requests = [["ball"], ["birkhoff"], ["norm", *map(str, a)]]
+    reports = [run_cli([args[0], str(wall), *args[1:]]) for args in requests]
     basis = homology_basis(wmap)
-    expected = norm(wmap, basis, (1, 0, 0, 0))
-    assert basis._memo == {}  # a cold norm keeps no ball
-
-    def capped():
-        with pytest.raises(ResourceLimit, match="exceeded the cap of 3"):
-            dual_ball(wmap, basis)
-        assert norm(wmap, basis, (1, 0, 0, 0)) == expected
-        capsys.readouterr()
-        assert run_cli(["ball", str(wall)])[0] == 1
-        assert "exceeded the cap of 3" in capsys.readouterr().err
-        code, text = run_cli(["norm", str(wall), "1", "0", "0", "0"])
-        assert (code, text.splitlines()[2:]) == (0, ["x = 1", "witness 1 -1 -1 -1"])
-
-    monkeypatch.setenv("WALLNORM_MAX_ENUM", "3")
-    capped()  # cold: nothing is kept
-    assert basis._memo == {}
-    monkeypatch.delenv("WALLNORM_MAX_ENUM")
+    expected = norm(wmap, basis, a)
     ball = dual_ball(wmap, basis)
+
     monkeypatch.setenv("WALLNORM_MAX_ENUM", "3")
-    capped()  # warm: norm reads the kept ball, the ball itself is refused as before
-    monkeypatch.delenv("WALLNORM_MAX_ENUM")
+    cold = homology_basis(wmap)
+    assert norm(wmap, cold, a) == expected
+    assert cold._memo == {}  # a cold norm keeps no ball
+    assert dual_ball(wmap, cold) == ball
+    assert norm(wmap, cold, a) == expected  # warm: reads the kept ball
     assert dual_ball(wmap, basis) is ball
-
-
-def test_genus_one_ball_ignores_the_enum_cap(workdir, monkeypatch, capsys):
-    # the genus-one ball is walked with the support oracle, so only the
-    # count of the coorientations themselves (coorientations) meets the cap
-    from wallnorm import dual_ball, homology_basis, norm
-
-    wall = workdir / "G13.wall"
-    wall.write_text(grid_text(1, 3))
-    wmap = parse_wall_system(wall.read_text())
-    basis = homology_basis(wmap)
-    monkeypatch.setenv("WALLNORM_MAX_ENUM", "3")
-    assert len(dual_ball(wmap, basis).points) == 8  # from 16 Eulerian coorientations
-    assert norm(wmap, basis, (1, 0)).value == 1
-    assert run_cli(["ball", str(wall)])[0] == 0
-    assert run_cli(["birkhoff", str(wall)])[0] == 0
+    assert [run_cli([args[0], str(wall), *args[1:]]) for args in requests] == reports
+    assert all(code == 0 for code, _ in reports)
     capsys.readouterr()
     assert run_cli(["coorientations", str(wall)])[0] == 1
     assert "exceeded the cap of 3" in capsys.readouterr().err

@@ -195,22 +195,15 @@ def test_class_counts_equal_the_enumeration_on_random_maps(seed):
     assert counted == enumerated
 
 
-def test_class_counts_refuse_over_the_cap_as_the_enumeration_does(monkeypatch, capsys):
+def test_class_counts_ignore_the_cap_the_enumeration_keeps(monkeypatch):
     message = "Eulerian enumeration exceeded the cap of 5; results would be partial"
     wmap = grid_map(2, 3)
     basis = homology_basis(wmap)
-    with pytest.raises(ResourceLimit, match=f"^{re.escape(message)}$"):
-        enumerate_eulerian(parse_wall_system(wmap.canonical_text), limit=5)
-    with pytest.raises(ResourceLimit, match=f"^{re.escape(message)}$"):
-        eulerian_class_counts(wmap, basis, limit=5)  # cold
-    enumerate_eulerian(wmap, basis)  # the items and classes are now kept
-    with pytest.raises(ResourceLimit, match=f"^{re.escape(message)}$"):
-        eulerian_class_counts(wmap, basis, limit=5)  # warm
     monkeypatch.setenv("WALLNORM_MAX_ENUM", "5")
     with pytest.raises(ResourceLimit, match=f"^{re.escape(message)}$"):
-        eulerian_class_counts(wmap, basis)
-    monkeypatch.delenv("WALLNORM_MAX_ENUM")
-    assert eulerian_class_counts(wmap, basis, limit=44)[0] == 44
+        enumerate_eulerian(parse_wall_system(wmap.canonical_text))
+    count, classes = eulerian_class_counts(wmap, basis)
+    assert count == sum(classes.values()) == 44
 
 
 def test_class_count_and_listing_report_the_cap_alike(tmp_path, capsys):

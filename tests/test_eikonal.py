@@ -138,6 +138,25 @@ def test_realize_lookup_method(g22, b22):
     assert class_of(g22, result.coorientation, b22) == (2, 2)
 
 
+def test_realize_lookup_classes_each_item_once(monkeypatch):
+    from wallnorm import coorient, eikonal, eulerian_class_counts, homology_basis
+    from wallnorm.fixtures import grid_map
+
+    wmap = grid_map(4, 4)
+    basis = homology_basis(wmap)
+    classes_of = coorient.classes_of
+    passed = []
+
+    def counting(items, basis):
+        passed.append(len(items))
+        return classes_of(items, basis)
+
+    monkeypatch.setattr(coorient, "classes_of", counting)
+    monkeypatch.setattr(eikonal, "classes_of", counting)
+    assert realize(wmap, basis, (0, 0), method="lookup").method == "enumeration-fallback"
+    assert passed == [eulerian_class_counts(wmap, basis)[0]] == [2970]
+
+
 def test_realize_genus2(genus2, genus2_basis):
     classes = sorted(enumerate_eulerian(genus2, genus2_basis).classes)
     target = classes[0]

@@ -20,7 +20,9 @@ from wallnorm import (
     format_basis_file,
     set_user_basis,
 )
-from wallnorm.fixtures import grid_basis_walks, grid_map
+from wallnorm.fixtures import (
+    four_geodesic_example, grid_basis_walks, grid_map, random_wall_system,
+)
 from wallnorm.surface_map import reverse_walk
 
 from conftest import random_closed_walk
@@ -117,11 +119,51 @@ def test_parity_well_defined_on_classes(g22, g23, genus2):
             assert len(walk) % 2 == expected
 
 
-def test_set_user_basis_identity(g22):
-    auto = homology_basis(g22)
-    again = set_user_basis(g22, auto.cycles)
-    assert again.cocycles == auto.cocycles
-    assert again.label == "user"
+# auto-basis signatures of the spanning tree and Smith normal form; a change
+# to either changes every `# basis auto <signature>` header
+GRID_SIGNATURES = {
+    (1, 1): "4ca3171cea74", (1, 2): "69306bb8c488", (1, 3): "438ebfa26b89",
+    (1, 4): "20b7ead5b13e", (1, 5): "0c222914794e", (2, 2): "de361dec91c5",
+    (2, 3): "cb431c1b6449", (2, 4): "1c221dd9c33d", (2, 5): "b37cf82f6f4b",
+    (3, 3): "160989d2bb58", (3, 4): "8987b518c4f1", (3, 5): "7c1f0fd5d761",
+    (4, 4): "bd2fd645fc96", (4, 5): "cb4108f5be0f", (5, 5): "886f0b4fa628",
+}
+# seed -> signature for the first twenty seeds whose map has genus 1 to 4
+RANDOM_SIGNATURES = {
+    0: "eb7bdc3281f8", 1: "17ce4747a417", 2: "705a1eb1f861", 3: "d04d41818c17",
+    4: "801a8b5f9e8a", 6: "22f0b3c126bb", 7: "ad76bb4065a5", 8: "d831b80afe59",
+    9: "7c2a1cc64f66", 10: "8705f7efa9c1", 11: "14a7fbc48074", 12: "a8be121b03f9",
+    13: "a7bf0354a624", 14: "83c1b05408a1", 15: "4eba9d85ac77", 16: "ab1111f81473",
+    18: "c204ea539bfb", 20: "99ecb59a3281", 21: "8721544d88e2", 22: "42822be021ab",
+}
+
+
+def _random_map(seed):
+    rng = random.Random(seed)
+    return random_wall_system(rng.randint(2, 12), rng)
+
+
+def test_auto_basis_signatures_are_pinned():
+    for (m, n), signature in GRID_SIGNATURES.items():
+        assert homology_basis(grid_map(m, n)).signature == signature, (m, n)
+    skipped = [s for s in range(max(RANDOM_SIGNATURES)) if s not in RANDOM_SIGNATURES]
+    assert all(not 1 <= _random_map(s).genus <= 4 for s in skipped)
+    for seed, signature in RANDOM_SIGNATURES.items():
+        wmap = _random_map(seed)
+        assert 1 <= wmap.genus <= 4
+        assert homology_basis(wmap).signature == signature, seed
+
+
+def test_set_user_basis_identity(g22, genus2):
+    maps = [g22, genus2, four_geodesic_example()] + [_random_map(s) for s in RANDOM_SIGNATURES]
+    for wmap in maps:
+        auto = homology_basis(wmap)
+        for cycle in auto.cycles:  # a closed walk from face 0
+            faces = wmap.dual_graph.walk_faces(cycle)
+            assert faces[0] == faces[-1] == 0
+        again = set_user_basis(wmap, auto.cycles)
+        assert again.cocycles == auto.cocycles
+        assert again.label == "user"
 
 
 def test_set_user_basis_rejects_singular(g22):

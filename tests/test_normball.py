@@ -119,7 +119,7 @@ def test_norm_equals_max_over_all_classes():
 
 def test_norm_refuses_a_ball_without_extreme_points(g22, b22, monkeypatch):
     empty = DualBall(points=((0, 0),), extreme=(), dim=2)
-    monkeypatch.setitem(b22._memo, "ball", (1, empty))
+    monkeypatch.setitem(b22._memo, "ball", empty)
     with pytest.raises(InternalError, match="no extreme points"):
         norm(g22, b22, (1, 0))
     with pytest.raises(InternalError, match="no extreme points"):
@@ -363,8 +363,10 @@ def test_genus_one_ball_never_enumerates(tmp_path, monkeypatch):
         raise AssertionError("the genus-one ball enumerated")
 
     monkeypatch.setattr(coorient, "_search_eulerian", refuse)
-    for module in (coorient, eikonal, cli):  # normball does not import it
+    for module in (coorient, cli):  # normball does not import it
         monkeypatch.setattr(module, "enumerate_eulerian", refuse)
+    for module in (coorient, eikonal):
+        monkeypatch.setattr(module, "iter_eulerian", refuse)
     grids = [grid_map(m, n) for m, n in ((1, 1), (2, 3), (5, 5))]
     for wmap in grids + [four_geodesic_example(), one_curve_example()]:
         basis = homology_basis(wmap)
