@@ -10,20 +10,24 @@ among them, exit with status 2.
 
 Each subcommand's arguments are defined once, in ``_SUBCOMMANDS`` (name ->
 help line and the function that adds its arguments).  ``build_parser``
-assembles the full ``wallnorm`` parser from that table.  A request that
-names a subcommand is parsed by that subcommand's parser alone, since
-building all of them is a large share of a one-shot request; it falls back
-to the full parser when arguments are left over, and for an empty argv, a
-leading option or an unknown subcommand, so that usage, help and errors
-are the full parser's, byte for byte.
+assembles the full argparse ``wallnorm`` parser from that table.  Building
+it is a large share of a one-shot request, so `_read` reads a well-formed
+request without importing argparse: the subcommand, all its positionals (a
+negative integer counts as one), then its long options spelled out, each
+at most once and followed by its value if it takes one.  It gets the
+arguments by running the same adders against ``_Spec``, and it gives the
+namespace the full parser would.  Every other argv (``-h``, abbreviations,
+``--opt=value``, ``--``, options before positionals, repeats, bad values,
+unknown words) goes to the full parser, so usage, help and errors are
+argparse's, byte for byte.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import fixtures
 from .birkhoff import classify
@@ -55,10 +59,11 @@ class RunConfig:
 
 
 def _load(config: RunConfig) -> tuple[WallSystemMap, HomologyBasis]:
-    text = Path(config.input_path).read_text()
-    wmap = parse_wall_system(text)
+    with open(config.input_path) as f:
+        wmap = parse_wall_system(f.read())
     if config.basis_path:
-        basis = basis_from_file(wmap, Path(config.basis_path).read_text())
+        with open(config.basis_path) as f:
+            basis = basis_from_file(wmap, f.read())
     else:
         basis = homology_basis(wmap)
     return wmap, basis
@@ -282,19 +287,19 @@ _COMMANDS = {
 }
 
 
-def _with_map(p: argparse.ArgumentParser) -> None:
+def _with_map(p) -> None:
     p.add_argument("input", help="wall-system file")
     p.add_argument("--basis", help="basis file (defaults to the computed basis)")
 
 
-def _coorientations_args(p: argparse.ArgumentParser) -> None:
+def _coorientations_args(p) -> None:
     _with_map(p)
     p.add_argument("--classes", action="store_true", help="also print the class multiset")
     p.add_argument("--list", dest="list_dir", help="write one coorientation file per item")
     p.add_argument("--max-enum", type=int, help="enumeration cap")
 
 
-def _ball_args(p: argparse.ArgumentParser) -> None:
+def _ball_args(p) -> None:
     _with_map(p)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--extreme", action="store_true", help="extreme points (default)")
@@ -302,41 +307,41 @@ def _ball_args(p: argparse.ArgumentParser) -> None:
     group.add_argument("--area", action="store_true", help="exact area (genus one)")
 
 
-def _norm_args(p: argparse.ArgumentParser) -> None:
+def _norm_args(p) -> None:
     _with_map(p)
     p.add_argument("coords", type=int, nargs="+", help="class coordinates a1 .. a2g")
 
 
-def _oracle_args(p: argparse.ArgumentParser) -> None:
+def _oracle_args(p) -> None:
     _with_map(p)
     p.add_argument("coords", type=int, nargs="+")
     p.add_argument("--radius", type=int, help="cover truncation radius")
     p.add_argument("--certificate", action="store_true")
 
 
-def _verify_args(p: argparse.ArgumentParser) -> None:
+def _verify_args(p) -> None:
     _with_map(p)
     p.add_argument("--box", type=int, required=True, help="coordinate box radius")
 
 
-def _realize_args(p: argparse.ArgumentParser) -> None:
+def _realize_args(p) -> None:
     _with_map(p)
     p.add_argument("coords", type=int, nargs="+")
     p.add_argument("--out", help="write the coorientation file here")
     p.add_argument("--method", choices=("auto", "lookup"), default="auto")
 
 
-def _birkhoff_args(p: argparse.ArgumentParser) -> None:
+def _birkhoff_args(p) -> None:
     _with_map(p)
     p.add_argument("--json-report", dest="json_report", help="also write a JSON report")
 
 
-def _svg_args(p: argparse.ArgumentParser) -> None:
+def _svg_args(p) -> None:
     _with_map(p)
     p.add_argument("--out", help="output file (stdout otherwise)")
 
 
-def _fixture_args(p: argparse.ArgumentParser) -> None:
+def _fixture_args(p) -> None:
     p.add_argument("m", type=int, help="number of horizontal circles")
     p.add_argument("n", type=int, help="number of vertical circles")
     p.add_argument("--out", help="output file (stdout otherwise)")
@@ -359,8 +364,10 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full parser: every subcommand of `_SUBCOMMANDS` under ``wallnorm``."""
+def build_parser():
+    """The full argparse parser: every subcommand of `_SUBCOMMANDS` under ``wallnorm``."""
+    import argparse  # only here: a well-formed request is read by `_read`
+
     parser = argparse.ArgumentParser(
         prog="wallnorm",
         description="Exact intersection norms of wall systems on surfaces.",
@@ -371,22 +378,100 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with the named subcommand's parser alone when nothing is left over.
+class _Spec:
+    """Stands in for a parser while an adder of `_SUBCOMMANDS` runs, and keeps its arguments.
 
-    ``add_parser`` gives each subparser the prog ``wallnorm <name>``, so the
-    same parser built alone prints the same help and errors.  Leftover
-    arguments are reported by the top-level parser, so they go to the full one.
+    It knows the argparse features the adders use: one name per argument,
+    ``store_true`` or a stored value, ``nargs="+"`` on the last positional.
+    It refuses any other, so that `_read` answers nothing it cannot read.
     """
-    spec = _SUBCOMMANDS.get(argv[0]) if argv else None
-    if spec is not None:
-        parser = argparse.ArgumentParser(prog=f"wallnorm {argv[0]}")
-        spec[1](parser)
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            args.subcommand = argv[0]
-            return args
-    return build_parser().parse_args(argv)
+
+    def __init__(self) -> None:
+        self.positionals: list[tuple] = []  # (dest, type, nargs "+")
+        self.options: dict[str, tuple] = {}  # option string -> (dest, type, choices, flag)
+        self.defaults: dict[str, object] = {}
+        self.required: list[str] = []
+        self.groups: list[set[str]] = []  # option strings of each mutually exclusive group
+
+    def add_argument(self, name, *, action="store", dest=None, type=str, nargs=None,
+                     choices=None, default=None, required=False, help=None) -> str:
+        positional = not name.startswith("-")
+        after_rest = any(many for _, _, many in self.positionals)
+        if (action not in ("store", "store_true")
+                or nargs not in (None, "+" if positional else None)
+                or positional and (choices is not None or after_rest)):
+            raise TypeError(f"the argv reader cannot read argument {name!r}")
+        if positional:
+            self.positionals.append((name, type, nargs == "+"))
+            return name
+        dest = dest or name.lstrip("-").replace("-", "_")
+        flag = action == "store_true"
+        self.options[name] = (dest, type, choices, flag)
+        self.defaults[dest] = False if flag and default is None else default
+        if required:
+            self.required.append(name)
+        return name
+
+    def add_mutually_exclusive_group(self) -> SimpleNamespace:
+        members: set[str] = set()
+        self.groups.append(members)
+        return SimpleNamespace(
+            add_argument=lambda *a, **kw: members.add(self.add_argument(*a, **kw)))
+
+
+def _is_value(word: str) -> bool:
+    """A word argparse takes as a value here: no leading "-", or a negative integer."""
+    return not word.startswith("-") or (word[1:].isdecimal() and word[1:].isascii())
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of ``build_parser().parse_args(argv)`` for an argv in the reader's form.
+
+    None for any other argv (see the module docstring), and for one that
+    the full parser would refuse.
+    """
+    entry = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    spec = _Spec()
+    entry[1](spec)
+    words = argv[1:]
+    k = next((i for i, word in enumerate(words) if not _is_value(word)), len(words))
+    count = len(spec.positionals)
+    if k < count or (k > count and not any(many for _, _, many in spec.positionals)):
+        return None
+    found = {"subcommand": argv[0], **spec.defaults}
+    given: set[str] = set()
+    rest = iter(words[k:])
+    try:  # a type's ValueError or TypeError is argparse's "invalid value"
+        for i, (dest, convert, many) in enumerate(spec.positionals):
+            found[dest] = [convert(w) for w in words[i:k]] if many else convert(words[i])
+        for word in rest:
+            option = spec.options.get(word)
+            if option is None or word in given:
+                return None
+            given.add(word)
+            dest, convert, choices, flag = option
+            if flag:
+                found[dest] = True
+                continue
+            value = next(rest, "-")  # "-" stands for a missing value: never a value here
+            if not _is_value(value):
+                return None
+            found[dest] = convert(value)
+            if choices is not None and found[dest] not in choices:
+                return None
+    except (TypeError, ValueError):
+        return None
+    if any(name not in given for name in spec.required) or any(
+            len(given & members) > 1 for members in spec.groups):
+        return None
+    return SimpleNamespace(**found)
+
+
+def _parse(argv: list[str]):
+    """The reader's namespace, or the full parser's answer (or exit) for any other argv."""
+    return _read(argv) or build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None, out=None) -> int:

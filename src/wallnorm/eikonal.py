@@ -41,7 +41,7 @@ from .coorient import (
     Coorientation, _parent_cycle, class_of, classes_of, is_eulerian, iter_eulerian,
 )
 from .errors import InternalError, NotRealizable
-from .homology import Coords, HomologyBasis, gamma_parity
+from .homology import Coords, HomologyBasis, _class_coords, gamma_parity
 from .simplex import affine_dimension
 from .surface_map import Crossing, Walk, WallSystemMap
 
@@ -79,9 +79,7 @@ def highest_potential(
     wmap: WallSystemMap, basis: HomologyBasis, n: Sequence[int]
 ) -> HighestPotential:
     """Bellman-Ford from face 0 on the dual graph with the target's crossing costs."""
-    n = tuple(int(x) for x in n)
-    if len(n) != basis.rank:
-        raise ValueError(f"target class must have {basis.rank} coordinates")
+    n = _class_coords(n, basis.rank, "target class")
     # arcs (from face, to face, cost 1 - n.delta, crossing)
     arcs = [
         (u, v, 1 - sum(map(mul, n, delta)), crossing)
@@ -200,9 +198,7 @@ def realize(
     "eikonal") or looked up in the enumeration ("lookup", a cross-check).
     Either output is verified outright: Eulerian and of class n.
     """
-    n = tuple(int(x) for x in n)
-    if len(n) != basis.rank:
-        raise ValueError(f"target class must have {basis.rank} coordinates")
+    n = _class_coords(n, basis.rank, "target class")
     if method not in ("auto", "lookup"):
         raise ValueError(f"unknown method {method!r}")
 

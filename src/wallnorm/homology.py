@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import index
 from typing import Sequence
 
 from .errors import InternalError, MalformedInput, NotABasis, TorsionDetected
@@ -116,6 +117,21 @@ class HomologyBasis:
         return hashlib.sha256(payload).hexdigest()[:12]
 
 
+def _class_coords(a: Sequence[int], rank: int, name: str = "class") -> Coords:
+    """The rank integer coordinates of a class, or ValueError.
+
+    ``operator.index`` refuses a coordinate that is not an integer (a float,
+    a Fraction), which ``int`` would truncate without a word.
+    """
+    try:
+        coords = tuple(map(index, a))
+    except TypeError:
+        raise ValueError(f"{name} coordinates must be integers, not {a!r}") from None
+    if len(coords) != rank:
+        raise ValueError(f"{name} must have {rank} coordinates")
+    return coords
+
+
 def _spanning_tree(dual: DualGraph) -> tuple[set[int], dict[int, tuple[int, Crossing]]]:
     """Greedy smallest-index spanning tree; returns tree edges and parent links."""
     parent_of = list(range(dual.node_count))
@@ -211,15 +227,21 @@ def homology_basis(wmap: WallSystemMap) -> HomologyBasis:
         cocycles.append(tuple(weights))
 
     basis = HomologyBasis(wmap, tuple(cycles), tuple(cocycles), label="auto")
-    _check_basis(basis, bnd)
+    _check_basis(basis)
     return basis
 
 
-def _check_basis(basis: HomologyBasis, bnd: BoundaryMatrices) -> None:
+def _check_basis(basis: HomologyBasis) -> None:
+    """Raise InternalError unless the cocycles vanish on every 2-cell and pair to the identity.
+
+    A 2-cell's boundary is its vertex's four darts, each on its edge with
+    weight kappa, as in ``boundary_matrices``.
+    """
+    wmap = basis.wmap
+    edge_of, kappa = wmap.dart_edge, wmap.kappa
     for i, w in enumerate(basis.cocycles):
-        for v in range(basis.wmap.vertex_count):
-            pairing = sum(w[e] * bnd.d2[e][v] for e in range(basis.wmap.edge_count))
-            if pairing != 0:
+        for v, darts in enumerate(wmap.rotations):
+            if sum(w[edge_of[d]] * kappa(d) for d in darts):
                 raise InternalError(f"cocycle {i} does not vanish on 2-cell {v}")
     for i in range(basis.rank):
         for j in range(basis.rank):
@@ -276,7 +298,7 @@ def set_user_basis(wmap: WallSystemMap, walks: Sequence[Sequence[Crossing]]) -> 
                     weights[e] += c * computed.cocycles[k][e]
         cocycles.append(tuple(weights))
     basis = HomologyBasis(wmap, walks, tuple(cocycles), label="user")
-    _check_basis(basis, boundary_matrices(wmap))
+    _check_basis(basis)
     return basis
 
 

@@ -36,7 +36,7 @@ from typing import Sequence
 from .coorient import class_of, eulerian_class_counts, is_eulerian, support_coorientation
 from .eikonal import highest_potential
 from .errors import DegenerateBall, InternalError
-from .homology import Coords, HomologyBasis, _check_basis_map, gamma_parity
+from .homology import Coords, HomologyBasis, _check_basis_map, _class_coords, gamma_parity
 from .simplex import affine_dimension
 from .surface_map import WallSystemMap
 
@@ -109,9 +109,7 @@ def norm(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence[int]) -> NormVal
     ``dual_ball``; every later query on the basis, this one and
     ``norm_rational``, then only reads its extreme points.
     """
-    a = tuple(int(x) for x in a)
-    if len(a) != basis.rank:
-        raise ValueError(f"class must have {basis.rank} coordinates")
+    a = _class_coords(a, basis.rank)
     extreme = _kept_extreme(wmap, basis)
     if extreme is None:
         r = basis.rank
@@ -282,7 +280,6 @@ def dual_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
 
 def contains(ball: DualBall, p: Sequence[int]) -> str:
     """Exact position of a lattice point: 'outside', 'boundary', or 'interior'."""
-    p = tuple(int(x) for x in p)
     if ball.dim < ball.ambient_dim:
         raise DegenerateBall(
             f"dual ball has affine dimension {ball.dim} < {ball.ambient_dim}"

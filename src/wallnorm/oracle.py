@@ -26,7 +26,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .errors import BoxExceeded, InternalError, ResourceLimit, UnstableTruncation
-from .homology import Coords, HomologyBasis
+from .homology import Coords, HomologyBasis, _class_coords
 from .surface_map import Walk, WallSystemMap
 from . import normball
 
@@ -255,9 +255,7 @@ def min_single_cycle(
     ResourceLimit, before allocating its table, when the box is over
     MAX_COVER_STATES.
     """
-    a = tuple(int(x) for x in a)
-    if len(a) != basis.rank:
-        raise ValueError(f"class must have {basis.rank} coordinates")
+    a = _class_coords(a, basis.rank)
     if h < max((abs(x) for x in a), default=0):
         raise ValueError("truncation radius is smaller than the class itself")
     best: Walk | None = None
@@ -288,9 +286,7 @@ def min_multicurve(
     BoxExceeded (nothing found) or UnstableTruncation (still improving) is
     raised.
     """
-    a = tuple(int(x) for x in a)
-    if len(a) != basis.rank:
-        raise ValueError(f"class must have {basis.rank} coordinates")
+    a = _class_coords(a, basis.rank)
     radius = max(1, max(abs(x) for x in a)) if any(a) else 1
     trunc = h if h is not None else default_truncation(basis, radius)
     if trunc < radius:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import shutil
@@ -5,8 +6,11 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wallnorm.cli import main
 from wallnorm.coorient import Coorientation, enumerate_eulerian
@@ -388,18 +392,20 @@ def test_requests_start_without_numpy(workdir):
     script = textwrap.dedent(f"""
         import io, sys
         import wallnorm, wallnorm.cli
-        print("import", 0, "numpy" in sys.modules)
+        print("import", 0, "numpy" in sys.modules, "argparse" in sys.modules)
         for argv in {lean!r} + [["svg", {str(genus2)!r}], ["oracle", {g22!r}, "1", "0"]]:
             code = wallnorm.cli.main(argv, out=io.StringIO())
-            print(argv[0], code, "numpy" in sys.modules)
+            print(argv[0], code, "numpy" in sys.modules, "argparse" in sys.modules)
     """)
     src = str(Path(fixtures.__file__).resolve().parent.parent)
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=src))
     assert result.returncode == 0, result.stderr
-    expected = [["import", "0", "False"]] + [[argv[0], "0", "False"] for argv in lean]
+    # and a well-formed request is read without importing argparse
+    expected = [["import", "0", "False", "False"]] + [
+        [argv[0], "0", "False", "False"] for argv in lean]
     assert [line.split() for line in result.stdout.splitlines()] == expected + [
-        ["svg", "1", "False"], ["oracle", "0", "True"]]
+        ["svg", "1", "False", "False"], ["oracle", "0", "True", "False"]]
 
 
 # one valid argv per subcommand; the parity test derives the bad ones from it
@@ -440,27 +446,90 @@ PARSER_ARGV = [
 ]
 
 
-def _parse_outcome(parse, argv, capsys):
+def _parse_outcome(parse, argv):
     """The namespace a parse gives, or its exit code and printed text."""
-    capsys.readouterr()
+    out, err = io.StringIO(), io.StringIO()
     try:
-        return vars(parse(argv))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(argv))
     except SystemExit as exc:
-        printed = capsys.readouterr()
-        return exc.code, printed.out, printed.err
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+@contextlib.contextmanager
+def _parsers_built():
+    """A list that gains one entry per argparse.ArgumentParser constructed inside."""
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(argparse.ArgumentParser, "__init__", counting_init):
+        yield built
+
+
+def _reader_matches_the_full_parser(argv):
+    """Assert that ``cli._parse`` answers argv as the full parser does, and whether it built one."""
+    from wallnorm import cli
+
+    expected = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
+    with _parsers_built() as built:
+        assert _parse_outcome(cli._parse, argv) == expected
+    return bool(built)
 
 
 @pytest.mark.parametrize("argv", PARSER_ARGV + FULL_PARSER_ARGV, ids=" ".join)
-def test_subcommand_parse_matches_the_full_parser(argv, monkeypatch, capsys):
+def test_subcommand_parse_matches_the_full_parser(argv, monkeypatch):
+    # a well-formed request builds no argparse parser at all; every other
+    # argv, help and errors included, is the full parser's to answer
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _reader_matches_the_full_parser(argv) == (argv not in VALID_ARGV.values())
+
+
+_VALUE_WORDS = st.one_of(  # two thirds integers, as most positionals are
+    st.integers(-12, 12).map(str),
+    st.integers(0, 99).map(str),
+    st.sampled_from(["m.wall", "b", "auto", "lookup", "bad", "1.5", "-2.5", "-0", "007", ""]),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """About the reader's form for a drawn subcommand, with stray words put anywhere."""
     from wallnorm import cli
 
-    monkeypatch.setenv("COLUMNS", "80")
-    expected = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
-    built = []
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(argv) or full())
-    assert _parse_outcome(cli._parse, argv, capsys) == expected
-    assert bool(built) == (argv in FULL_PARSER_ARGV)
+    name = draw(st.sampled_from(list(cli._SUBCOMMANDS)))
+    spec = cli._Spec()  # the arguments as the reader records them
+    cli._SUBCOMMANDS[name][1](spec)
+    option = st.sampled_from(sorted(spec.options))
+    stray = st.one_of(
+        _VALUE_WORDS, option, st.sampled_from(["-h", "--help", "--", "-", "-x", "--zzz", name]),
+        option.flatmap(lambda o: st.integers(3, len(o) - 1).map(lambda k: o[:k])),  # abbreviated
+        st.tuples(option, _VALUE_WORDS).map("=".join),
+    )
+    count = len(spec.positionals)
+    size = draw(st.sampled_from([count, count, count - 1, count + 1]))
+    argv = [name, *(draw(_VALUE_WORDS) for _ in range(size))]
+    for flag in draw(st.lists(option, max_size=4, unique=True)):
+        argv += [flag] if spec.options[flag][3] else [flag, draw(_VALUE_WORDS)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(stray))
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=_argvs())
+def test_reader_parity_with_the_full_parser(argv):
+    from wallnorm import cli
+
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        built = _reader_matches_the_full_parser(argv)
+    # an argv the reader accepts constructs no argparse parser; any other falls back
+    assert built == (cli._read(argv) is None)
 
 
 def test_requests_skip_the_full_parser(workdir, monkeypatch, capsys):

@@ -63,6 +63,32 @@ def test_face_boundary_has_zero_class(g22, genus2):
         del dual
 
 
+def test_basis_check_reads_each_2_cell_from_its_darts(g22, genus2, random_maps):
+    # a cocycle raised by one on an edge is refused at the first 2-cell whose
+    # d2 column it fails, as the column-by-column check refused it
+    from wallnorm import InternalError
+    from wallnorm.homology import HomologyBasis, _check_basis
+
+    refused = 0
+    for wmap in [g22, genus2] + random_maps:
+        good = homology_basis(wmap)
+        _check_basis(good)
+        d2 = boundary_matrices(wmap).d2
+        for e in range(wmap.edge_count):
+            w = list(good.cocycles[-1])
+            w[e] += 1
+            first = next((v for v in range(wmap.vertex_count)
+                          if sum(w[k] * d2[k][v] for k in range(wmap.edge_count))), None)
+            if first is None:  # a loop edge: both of its darts sit on one 2-cell
+                continue
+            bad = HomologyBasis(wmap, good.cycles, good.cocycles[:-1] + (tuple(w),))
+            message = f"^cocycle {good.rank - 1} does not vanish on 2-cell {first}$"
+            with pytest.raises(InternalError, match=message):
+                _check_basis(bad)
+            refused += 1
+    assert refused > 20
+
+
 def test_concatenation_is_additive(g22, b22):
     b1, b2 = b22.cycles
     # both standard cycles are based at the same face, so they concatenate
@@ -235,14 +261,14 @@ def test_invariant_checks_survive_optimize():
     script = textwrap.dedent("""
         from wallnorm import InternalError
         from wallnorm.fixtures import grid_basis, grid_map
-        from wallnorm.homology import HomologyBasis, _check_basis, boundary_matrices
+        from wallnorm.homology import HomologyBasis, _check_basis
 
         assert False, "asserts must be stripped under -O"
         wmap = grid_map(1, 1)
         good = grid_basis(wmap, 1, 1)
         bad = HomologyBasis(wmap, good.cycles, good.cocycles[::-1], label="user")
         try:
-            _check_basis(bad, boundary_matrices(wmap))
+            _check_basis(bad)
         except InternalError as exc:
             print("raised:", exc)
     """)

@@ -495,3 +495,27 @@ def test_norm_and_birkhoff_above_genus_one_never_enumerate(tmp_path, monkeypatch
                     ["realize", wall, "-1", "1", "-1", "-1", "--method", "lookup"]):
         with pytest.raises(AssertionError, match="enumerated"):
             cli.main(command, out=io.StringIO())
+
+
+def test_non_integral_class_coordinates_are_refused(g22, b22):
+    # int() truncated these: (1.9, 0.9) was answered as (1, 0), (0.5, 0.5) as (0, 0)
+    from wallnorm import min_multicurve, min_single_cycle, realize
+
+    ball = dual_ball(g22, b22)
+    queries = [
+        lambda a: norm(g22, b22, a),
+        lambda a: contains(ball, a),
+        lambda a: highest_potential(g22, b22, a),
+        lambda a: realize(g22, b22, a),
+        lambda a: min_single_cycle(g22, b22, a, 3),
+        lambda a: min_multicurve(g22, b22, a),
+    ]
+    for query in queries:
+        for a in [(1.9, 0.9), (0.5, 0.5), (Fraction(1), 0), (2.0, 0)]:
+            with pytest.raises(ValueError, match="class coordinates must be integers"):
+                query(a)
+    assert norm_rational(g22, b22, (Fraction(19, 10), Fraction(9, 10))) == Fraction(28, 5)
+    # integers of any integer type still answer, and a count mismatch keeps its message
+    assert norm(g22, b22, [True, 0]) == norm(g22, b22, (1, 0))
+    with pytest.raises(ValueError, match="^target class must have 2 coordinates$"):
+        realize(g22, b22, (0, 0, 0))
