@@ -8,24 +8,23 @@ and the error name; usage errors, non-positive ``--box``, ``--radius`` and
 ``--max-enum`` and a ``WALLNORM_MAX_ENUM`` that is not a positive integer
 among them, exit with status 2.
 
-Each subcommand's arguments are defined once, in ``_SUBCOMMANDS`` (name ->
-help line and the function that adds its arguments).  ``build_parser``
-assembles the full argparse ``wallnorm`` parser from that table.  Building
-it is a large share of a one-shot request, so `_read` reads a well-formed
-request without importing argparse: the subcommand, all its positionals (a
-negative integer counts as one), then its long options spelled out, each
-at most once and followed by its value if it takes one.  It gets the
-arguments by running the same adders against ``_Spec``, and it gives the
-namespace the full parser would.  Every other argv (``-h``, abbreviations,
-``--opt=value``, ``--``, options before positionals, repeats, bad values,
-unknown words) goes to the full parser, so usage, help and errors are
-argparse's, byte for byte.
+Each subcommand is defined once, in ``_SUBCOMMANDS``: its help line, its
+command and its arguments as data, ``(name, argparse keywords)`` pairs.
+``build_parser`` assembles the full argparse ``wallnorm`` parser from that
+table.  Building it is a large share of a one-shot request, so `_read`
+reads a well-formed request from the same table without importing
+argparse: the subcommand, all its positionals (a negative integer counts
+as one), then its long options spelled out, each at most once and followed
+by its value if it takes one.  It gives the namespace the full parser
+would, and each command takes that namespace.  Every other argv (``-h``,
+abbreviations, ``--opt=value``, ``--``, options before positionals,
+repeats, bad values, unknown words) goes to the full parser, so usage,
+help and errors are argparse's, byte for byte.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -41,28 +40,11 @@ from .surface_map import WallSystemMap, parse_wall_system
 from .svg import check_genus_one, render_svg
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated CLI invocation."""
-
-    subcommand: str
-    input_path: str | None
-    basis_path: str | None
-    options: dict
-
-    def __post_init__(self) -> None:
-        for key in ("radius", "box", "max_enum"):
-            value = self.options.get(key)
-            if value is not None and value <= 0:
-                raise ValueError(f"--{key.replace('_', '-')} must be positive")
-        _enum_cap(self.options.get("max_enum"))  # a malformed WALLNORM_MAX_ENUM is refused here
-
-
-def _load(config: RunConfig) -> tuple[WallSystemMap, HomologyBasis]:
-    with open(config.input_path) as f:
+def _load(args) -> tuple[WallSystemMap, HomologyBasis]:
+    with open(args.input) as f:
         wmap = parse_wall_system(f.read())
-    if config.basis_path:
-        with open(config.basis_path) as f:
+    if args.basis:
+        with open(args.basis) as f:
             basis = basis_from_file(wmap, f.read())
     else:
         basis = homology_basis(wmap)
@@ -78,8 +60,8 @@ def _coords(point) -> str:
     return " ".join(str(x) for x in point)
 
 
-def cmd_info(config: RunConfig, out) -> int:
-    wmap, basis = _load(config)
+def cmd_info(args, out) -> int:
+    wmap, basis = _load(args)
     _header(out, wmap, basis)
     parity = gamma_parity(wmap, basis)
     parity_text = "(" + ",".join(str(p) for p in parity) + ")"
@@ -91,23 +73,21 @@ def cmd_info(config: RunConfig, out) -> int:
     return 0
 
 
-def cmd_coorientations(config: RunConfig, out) -> int:
-    wmap, basis = _load(config)
+def cmd_coorientations(args, out) -> int:
+    wmap, basis = _load(args)
     _header(out, wmap, basis)
-    limit = config.options.get("max_enum")
-    list_dir = config.options.get("list_dir")
-    if list_dir:  # only listing needs the coorientations themselves
-        eul = enumerate_eulerian(wmap, basis, limit)
+    if args.list_dir:  # only listing needs the coorientations themselves
+        eul = enumerate_eulerian(wmap, basis, args.max_enum)
         count, classes = eul.count, eul.classes
     else:  # counted, not listed; the cap still refuses as the listing would
         count, classes = eulerian_class_counts(wmap, basis)
-        _check_cap(count, limit)
+        _check_cap(count, args.max_enum)
     print(f"eulerian {count}", file=out)
-    if config.options.get("classes"):
+    if args.classes:
         for point in sorted(classes):
             print(f"class {_coords(point)} count={classes[point]}", file=out)
-    if list_dir:
-        target = Path(list_dir)
+    if args.list_dir:
+        target = Path(args.list_dir)
         target.mkdir(parents=True, exist_ok=True)
         for k, coor in enumerate(eul.items):
             (target / f"coor_{k:06d}.txt").write_text(coor.to_text())
@@ -115,21 +95,22 @@ def cmd_coorientations(config: RunConfig, out) -> int:
     return 0
 
 
-def cmd_classes(config: RunConfig, out) -> int:
-    return cmd_coorientations(replace(config, options={**config.options, "classes": True}), out)
+def cmd_classes(args, out) -> int:
+    return cmd_coorientations(
+        SimpleNamespace(**vars(args), classes=True, list_dir=None, max_enum=None), out)
 
 
-def cmd_ball(config: RunConfig, out) -> int:
-    wmap, basis = _load(config)
+def cmd_ball(args, out) -> int:
+    wmap, basis = _load(args)
     _header(out, wmap, basis)
     ball = dual_ball(wmap, basis)
-    if config.options.get("area"):
+    if args.area:
         if ball.g1_area is None:
             raise WallNormError("--area is only available for genus-one maps")
         print(f"area {ball.g1_area}", file=out)
         return 0
-    points = ball.points if config.options.get("all_classes") else ball.extreme
-    label = "point" if config.options.get("all_classes") else "extreme"
+    points = ball.points if args.all_classes else ball.extreme
+    label = "point" if args.all_classes else "extreme"
     for point in points:
         print(f"{label} {_coords(point)}", file=out)
     print(f"count {len(points)}", file=out)
@@ -138,33 +119,31 @@ def cmd_ball(config: RunConfig, out) -> int:
     return 0
 
 
-def cmd_norm(config: RunConfig, out) -> int:
-    wmap, basis = _load(config)
-    result = norm(wmap, basis, config.options["coords"])
+def cmd_norm(args, out) -> int:
+    wmap, basis = _load(args)
+    result = norm(wmap, basis, args.coords)
     _header(out, wmap, basis)
     print(f"x = {result.value}", file=out)
     print(f"witness {_coords(result.witness)}", file=out)
     return 0
 
 
-def cmd_oracle(config: RunConfig, out) -> int:
-    wmap, basis = _load(config)
-    value, certificate = min_multicurve(
-        wmap, basis, config.options["coords"], config.options.get("radius")
-    )
+def cmd_oracle(args, out) -> int:
+    wmap, basis = _load(args)
+    value, certificate = min_multicurve(wmap, basis, args.coords, args.radius)
     _header(out, wmap, basis)
     print(f"x_min = {value}", file=out)
-    if config.options.get("certificate"):
+    if args.certificate:
         for walk, coords, length in certificate.cycles:
             tokens = " ".join(f"{e}{'+' if d > 0 else '-'}" for e, d in walk)
             print(f"cycle class=({_coords(coords)}) length={length}: {tokens}", file=out)
     return 0
 
 
-def cmd_verify(config: RunConfig, out) -> int:
-    wmap, basis = _load(config)
+def cmd_verify(args, out) -> int:
+    wmap, basis = _load(args)
     _header(out, wmap, basis)
-    report = verify_min_equals_max(wmap, basis, config.options["box"])
+    report = verify_min_equals_max(wmap, basis, args.box)
     print(
         f"checked {report.checked} classes in box {report.box_radius} "
         f"(truncation {report.truncation})",
@@ -176,28 +155,25 @@ def cmd_verify(config: RunConfig, out) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_realize(config: RunConfig, out) -> int:
-    wmap, basis = _load(config)
+def cmd_realize(args, out) -> int:
+    wmap, basis = _load(args)
     try:
-        result = realize(
-            wmap, basis, config.options["coords"], method=config.options.get("method", "auto")
-        )
+        result = realize(wmap, basis, args.coords, method=args.method)
     except WallNormError:  # a refused class is reported under the header; a usage error is not
         _header(out, wmap, basis)
         raise
     _header(out, wmap, basis)
     print(f"realized {_coords(result.target)} method={result.method}", file=out)
-    out_path = config.options.get("out")
-    if out_path:
-        Path(out_path).write_text(result.coorientation.to_text())
-        print(f"written {out_path}", file=out)
+    if args.out:
+        Path(args.out).write_text(result.coorientation.to_text())
+        print(f"written {args.out}", file=out)
     else:
         print(result.coorientation.to_text(), end="", file=out)
     return 0
 
 
-def cmd_birkhoff(config: RunConfig, out) -> int:
-    wmap, basis = _load(config)
+def cmd_birkhoff(args, out) -> int:
+    wmap, basis = _load(args)
     _header(out, wmap, basis)
     report = classify(wmap, basis)
     for entry in report.entries:
@@ -211,8 +187,7 @@ def cmd_birkhoff(config: RunConfig, out) -> int:
     print(f"boundary: {report.boundary_count}", file=out)
     print(f"outside: {report.outside_count}", file=out)
     print(f"sections: {report.interior_count}", file=out)
-    json_path = config.options.get("json_report")
-    if json_path:
+    if args.json_report:
         import json
 
         payload = {
@@ -234,133 +209,84 @@ def cmd_birkhoff(config: RunConfig, out) -> int:
             "outside": report.outside_count,
             "section_exists": report.section_exists,
         }
-        Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"written {json_path}", file=out)
+        Path(args.json_report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        print(f"written {args.json_report}", file=out)
     return 0
 
 
-def cmd_svg(config: RunConfig, out) -> int:
-    wmap, basis = _load(config)
+def cmd_svg(args, out) -> int:
+    wmap, basis = _load(args)
     check_genus_one(basis.rank)  # before the ball and the classification are paid for
     ball = dual_ball(wmap, basis)
     report = classify(wmap, basis, ball)
     text = render_svg(ball, [(e.point, e.status) for e in report.entries])
-    out_path = config.options.get("out")
-    if out_path:
-        Path(out_path).write_text(text)
-        print(f"written {out_path}", file=out)
+    if args.out:
+        Path(args.out).write_text(text)
+        print(f"written {args.out}", file=out)
     else:
         print(text, end="", file=out)
     return 0
 
 
-def cmd_fixture(config: RunConfig, out) -> int:
-    m, n = config.options["m"], config.options["n"]
+def cmd_fixture(args, out) -> int:
+    m, n = args.m, args.n
     if m < 1 or n < 1:
         raise WallNormError("grid parameters must be at least 1")
     text = fixtures.grid_text(m, n)
-    out_path = config.options.get("out")
-    if out_path:
-        Path(out_path).write_text(text)
-        print(f"written {out_path}", file=out)
+    if args.out:
+        Path(args.out).write_text(text)
+        print(f"written {args.out}", file=out)
     else:
         print(text, end="", file=out)
-    basis_out = config.options.get("basis_out")
-    if basis_out:
-        Path(basis_out).write_text(fixtures.grid_basis_text(m, n))
-        print(f"written {basis_out}", file=out)
+    if args.basis_out:
+        Path(args.basis_out).write_text(fixtures.grid_basis_text(m, n))
+        print(f"written {args.basis_out}", file=out)
     return 0
 
 
-_COMMANDS = {
-    "info": cmd_info,
-    "coorientations": cmd_coorientations,
-    "classes": cmd_classes,
-    "ball": cmd_ball,
-    "norm": cmd_norm,
-    "oracle": cmd_oracle,
-    "verify": cmd_verify,
-    "realize": cmd_realize,
-    "birkhoff": cmd_birkhoff,
-    "svg": cmd_svg,
-    "fixture": cmd_fixture,
-}
+def _map(*more) -> tuple:
+    """The arguments of a subcommand that reads a map: ``input``, ``--basis``, then ``more``."""
+    return (("input", {"help": "wall-system file"}),
+            ("--basis", {"help": "basis file (defaults to the computed basis)"}), *more)
 
 
-def _with_map(p) -> None:
-    p.add_argument("input", help="wall-system file")
-    p.add_argument("--basis", help="basis file (defaults to the computed basis)")
+_COORDS = ("coords", {"type": int, "nargs": "+"})
+_OUT = ("--out", {"help": "output file (stdout otherwise)"})
 
-
-def _coorientations_args(p) -> None:
-    _with_map(p)
-    p.add_argument("--classes", action="store_true", help="also print the class multiset")
-    p.add_argument("--list", dest="list_dir", help="write one coorientation file per item")
-    p.add_argument("--max-enum", type=int, help="enumeration cap")
-
-
-def _ball_args(p) -> None:
-    _with_map(p)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--extreme", action="store_true", help="extreme points (default)")
-    group.add_argument("--all-classes", action="store_true", help="all class points")
-    group.add_argument("--area", action="store_true", help="exact area (genus one)")
-
-
-def _norm_args(p) -> None:
-    _with_map(p)
-    p.add_argument("coords", type=int, nargs="+", help="class coordinates a1 .. a2g")
-
-
-def _oracle_args(p) -> None:
-    _with_map(p)
-    p.add_argument("coords", type=int, nargs="+")
-    p.add_argument("--radius", type=int, help="cover truncation radius")
-    p.add_argument("--certificate", action="store_true")
-
-
-def _verify_args(p) -> None:
-    _with_map(p)
-    p.add_argument("--box", type=int, required=True, help="coordinate box radius")
-
-
-def _realize_args(p) -> None:
-    _with_map(p)
-    p.add_argument("coords", type=int, nargs="+")
-    p.add_argument("--out", help="write the coorientation file here")
-    p.add_argument("--method", choices=("auto", "lookup"), default="auto")
-
-
-def _birkhoff_args(p) -> None:
-    _with_map(p)
-    p.add_argument("--json-report", dest="json_report", help="also write a JSON report")
-
-
-def _svg_args(p) -> None:
-    _with_map(p)
-    p.add_argument("--out", help="output file (stdout otherwise)")
-
-
-def _fixture_args(p) -> None:
-    p.add_argument("m", type=int, help="number of horizontal circles")
-    p.add_argument("n", type=int, help="number of vertical circles")
-    p.add_argument("--out", help="output file (stdout otherwise)")
-    p.add_argument("--basis-out", dest="basis_out", help="also write the grid basis file")
-
-
-# subcommand -> (help line, adder of its arguments), in the order `wallnorm -h` lists them
+# subcommand -> (help line, command, arguments), in the order `wallnorm -h` lists them.
+# An argument is a (name, argparse keywords) pair; a tuple of pairs is a
+# mutually exclusive group.
 _SUBCOMMANDS = {
-    "info": ("V, E, F, genus, curves, parity", _with_map),
-    "coorientations": ("enumerate Eulerian coorientations", _coorientations_args),
-    "classes": ("Eulerian class multiset", _with_map),
-    "ball": ("dual unit ball", _ball_args),
-    "norm": ("intersection norm of an integer class", _norm_args),
-    "oracle": ("brute-force minimum with certificate", _oracle_args),
-    "verify": ("oracle vs max formula over a box", _verify_args),
-    "realize": ("realize a class as a coorientation", _realize_args),
-    "birkhoff": ("classify Birkhoff cross sections", _birkhoff_args),
-    "svg": ("render the genus-one dual ball", _svg_args),
-    "fixture": ("emit a torus grid wall system G(m,n)", _fixture_args),
+    "info": ("V, E, F, genus, curves, parity", cmd_info, _map()),
+    "coorientations": ("enumerate Eulerian coorientations", cmd_coorientations, _map(
+        ("--classes", {"action": "store_true", "help": "also print the class multiset"}),
+        ("--list", {"dest": "list_dir", "help": "write one coorientation file per item"}),
+        ("--max-enum", {"type": int, "help": "enumeration cap"}))),
+    "classes": ("Eulerian class multiset", cmd_classes, _map()),
+    "ball": ("dual unit ball", cmd_ball, _map((
+        ("--extreme", {"action": "store_true", "help": "extreme points (default)"}),
+        ("--all-classes", {"action": "store_true", "help": "all class points"}),
+        ("--area", {"action": "store_true", "help": "exact area (genus one)"})))),
+    "norm": ("intersection norm of an integer class", cmd_norm, _map(
+        ("coords", {"type": int, "nargs": "+", "help": "class coordinates a1 .. a2g"}))),
+    "oracle": ("brute-force minimum with certificate", cmd_oracle, _map(
+        _COORDS,
+        ("--radius", {"type": int, "help": "cover truncation radius"}),
+        ("--certificate", {"action": "store_true"}))),
+    "verify": ("oracle vs max formula over a box", cmd_verify, _map(
+        ("--box", {"type": int, "required": True, "help": "coordinate box radius"}))),
+    "realize": ("realize a class as a coorientation", cmd_realize, _map(
+        _COORDS,
+        ("--out", {"help": "write the coorientation file here"}),
+        ("--method", {"choices": ("auto", "lookup"), "default": "auto"}))),
+    "birkhoff": ("classify Birkhoff cross sections", cmd_birkhoff, _map(
+        ("--json-report", {"help": "also write a JSON report"}))),
+    "svg": ("render the genus-one dual ball", cmd_svg, _map(_OUT)),
+    "fixture": ("emit a torus grid wall system G(m,n)", cmd_fixture, (
+        ("m", {"type": int, "help": "number of horizontal circles"}),
+        ("n", {"type": int, "help": "number of vertical circles"}),
+        _OUT,
+        ("--basis-out", {"help": "also write the grid basis file"}))),
 }
 
 
@@ -373,50 +299,60 @@ def build_parser():
         description="Exact intersection norms of wall systems on surfaces.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, _, arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for group, pairs in map(_pairs, arguments):
+            target = p.add_mutually_exclusive_group() if group else p
+            for arg_name, keywords in pairs:
+                target.add_argument(arg_name, **keywords)
     return parser
 
 
-class _Spec:
-    """Stands in for a parser while an adder of `_SUBCOMMANDS` runs, and keeps its arguments.
+def _pairs(argument) -> tuple[bool, tuple]:
+    """Whether a table argument is a mutually exclusive group, and its (name, keywords) pairs."""
+    group = not isinstance(argument[0], str)
+    return group, argument if group else (argument,)
 
-    It knows the argparse features the adders use: one name per argument,
-    ``store_true`` or a stored value, ``nargs="+"`` on the last positional.
-    It refuses any other, so that `_read` answers nothing it cannot read.
+
+def _spec(arguments) -> SimpleNamespace:
+    """A `_SUBCOMMANDS` entry's arguments in the form `_read` reads them.
+
+    The reader knows the argparse features the table uses: one name per
+    argument, ``store_true`` or a stored value, ``nargs="+"`` on the last
+    positional.  Any other raises TypeError, so that `_read` answers
+    nothing it cannot read.
     """
+    spec = SimpleNamespace(
+        positionals=[],  # (dest, type, nargs "+")
+        options={},  # option string -> (dest, type, choices, flag)
+        defaults={}, required=[],
+        groups=[],  # option strings of each mutually exclusive group
+    )
 
-    def __init__(self) -> None:
-        self.positionals: list[tuple] = []  # (dest, type, nargs "+")
-        self.options: dict[str, tuple] = {}  # option string -> (dest, type, choices, flag)
-        self.defaults: dict[str, object] = {}
-        self.required: list[str] = []
-        self.groups: list[set[str]] = []  # option strings of each mutually exclusive group
-
-    def add_argument(self, name, *, action="store", dest=None, type=str, nargs=None,
-                     choices=None, default=None, required=False, help=None) -> str:
+    def add(name, *, action="store", dest=None, type=str, nargs=None,
+            choices=None, default=None, required=False, help=None) -> str:
         positional = not name.startswith("-")
-        after_rest = any(many for _, _, many in self.positionals)
+        after_rest = any(many for _, _, many in spec.positionals)
         if (action not in ("store", "store_true")
                 or nargs not in (None, "+" if positional else None)
                 or positional and (choices is not None or after_rest)):
             raise TypeError(f"the argv reader cannot read argument {name!r}")
         if positional:
-            self.positionals.append((name, type, nargs == "+"))
+            spec.positionals.append((name, type, nargs == "+"))
             return name
         dest = dest or name.lstrip("-").replace("-", "_")
         flag = action == "store_true"
-        self.options[name] = (dest, type, choices, flag)
-        self.defaults[dest] = False if flag and default is None else default
+        spec.options[name] = (dest, type, choices, flag)
+        spec.defaults[dest] = False if flag and default is None else default
         if required:
-            self.required.append(name)
+            spec.required.append(name)
         return name
 
-    def add_mutually_exclusive_group(self) -> SimpleNamespace:
-        members: set[str] = set()
-        self.groups.append(members)
-        return SimpleNamespace(
-            add_argument=lambda *a, **kw: members.add(self.add_argument(*a, **kw)))
+    for group, pairs in map(_pairs, arguments):
+        names = {add(name, **keywords) for name, keywords in pairs}
+        if group:
+            spec.groups.append(names)
+    return spec
 
 
 def _is_value(word: str) -> bool:
@@ -433,8 +369,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     entry = _SUBCOMMANDS.get(argv[0]) if argv else None
     if entry is None:
         return None
-    spec = _Spec()
-    entry[1](spec)
+    spec = _spec(entry[2])
     words = argv[1:]
     k = next((i for i, word in enumerate(words) if not _is_value(word)), len(words))
     count = len(spec.positionals)
@@ -477,15 +412,13 @@ def _parse(argv: list[str]):
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = _parse(sys.argv[1:] if argv is None else argv)
-    options = {k: v for k, v in vars(args).items() if k not in ("subcommand", "input", "basis")}
     try:
-        config = RunConfig(
-            args.subcommand,
-            getattr(args, "input", None),
-            getattr(args, "basis", None),
-            options,
-        )
-        return _COMMANDS[args.subcommand](config, out)
+        for key in ("radius", "box", "max_enum"):
+            value = getattr(args, key, None)
+            if value is not None and value <= 0:
+                raise ValueError(f"--{key.replace('_', '-')} must be positive")
+        _enum_cap(getattr(args, "max_enum", None))  # a malformed WALLNORM_MAX_ENUM is refused here
+        return _SUBCOMMANDS[args.subcommand][1](args, out)
     except (WallNormError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -148,6 +148,7 @@ def _single_cycle_table(
     """
     import numpy as np
 
+    _cover_states(wmap, basis, h)  # an over-budget box is refused before its tables are built
     box = (2 * h + 1) ** basis.rank
     moves = _cover_moves([m[:3] for m in basis.moves], h)
     table = {c: (math.inf, -1) for c in _box_classes(basis.rank, radius)}
@@ -378,6 +379,7 @@ def verify_min_equals_max(
     """
     radius = int(box_radius)
     trunc = h if h is not None else default_truncation(basis, radius)
+    _cover_states(wmap, basis, trunc)  # before the watched box is listed
     trunc, _, m, _ = _stable_tables(
         wmap, basis, radius, trunc, max_truncation, _box_classes(basis.rank, radius),
         lambda cs, t: f"classes {cs[:3]}... not represented inside radius {t}",

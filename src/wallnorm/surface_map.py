@@ -446,6 +446,12 @@ def parse_wall_system(text: str) -> WallSystemMap:
         except ValueError:
             raise MalformedInput(f"non-integer token in {where}: {' '.join(tokens)!r}") from None
 
+    def one(tokens: list[str], lineno: int, what: str) -> int:
+        values = ints(tokens, f"line {lineno}")
+        if len(values) != 1:
+            raise MalformedInput(f"line {lineno}: expected one {what}, got {' '.join(tokens)!r}")
+        return values[0]
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -454,12 +460,12 @@ def parse_wall_system(text: str) -> WallSystemMap:
         if head == "vertices":
             if vertex_count is not None:
                 raise MalformedInput(f"line {lineno}: repeated 'vertices' line")
-            (vertex_count,) = ints(rest.split(), f"line {lineno}")
+            vertex_count = one(rest.split(), lineno, "vertex count")
         elif head in ("vertex", "edge"):
             if ":" not in rest:
                 raise MalformedInput(f"line {lineno}: missing ':' in {head} line")
             index_part, _, darts_part = rest.partition(":")
-            (index,) = ints(index_part.split(), f"line {lineno}")
+            index = one(index_part.split(), lineno, f"{head} index")
             darts = ints(darts_part.split(), f"line {lineno}")
             store = rotations if head == "vertex" else edges
             if index in store:
@@ -474,9 +480,11 @@ def parse_wall_system(text: str) -> WallSystemMap:
 
     if vertex_count is None:
         raise MalformedInput("missing 'vertices <V>' line")
-    if sorted(rotations) != list(range(vertex_count)):
+    # the counts first: a header alone must not make V indices
+    vertex_ids, edge_ids = range(vertex_count), range(2 * vertex_count)
+    if len(rotations) != len(vertex_ids) or sorted(rotations) != list(vertex_ids):
         raise MalformedInput(f"vertex indices must be exactly 0..{vertex_count - 1}")
-    if sorted(edges) != list(range(2 * vertex_count)):
+    if len(edges) != len(edge_ids) or sorted(edges) != list(edge_ids):
         raise MalformedInput(f"edge indices must be exactly 0..{2 * vertex_count - 1}")
 
     return WallSystemMap(

@@ -147,14 +147,16 @@ def test_realize_writes_coorientation(workdir):
 
 
 def test_classes_leaves_the_config_unchanged(workdir):
-    from wallnorm.cli import RunConfig, cmd_classes
+    # classes runs coorientations on a copy of its namespace, with --classes set
+    from wallnorm.cli import _read, cmd_classes
 
-    options = {"classes": False, "max_enum": None}
-    config = RunConfig("classes", str(workdir / "G11.wall"), None, options)
+    args = _read(["classes", str(workdir / "G11.wall")])
+    given = dict(vars(args))
     out = io.StringIO()
-    assert cmd_classes(config, out) == 0
+    assert cmd_classes(args, out) == 0
     assert "count=" in out.getvalue()
-    assert config.options == {"classes": False, "max_enum": None}
+    assert vars(args) == given == {"subcommand": "classes", "input": str(workdir / "G11.wall"),
+                                   "basis": None}
 
 
 def test_realize_method_flag(workdir):
@@ -246,6 +248,18 @@ def test_domain_error_names_the_error(workdir, tmp_path, capsys):
     code = main(["info", str(bad)], out=io.StringIO())
     assert code == 1
     assert "BadDegree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vertices\n", "line 1: expected one vertex count"),
+    ("vertices 1 2\n", "line 1: expected one vertex count"),
+    ("vertices 1\nvertex 0 1: 0 1 2 3\n", "line 2: expected one vertex index"),
+])
+def test_miscounted_integers_are_domain_errors(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.wall"
+    bad.write_text(text)
+    assert run_cli(["info", str(bad)]) == (1, "")
+    assert capsys.readouterr().err.startswith(f"error: MalformedInput: {message}, got ")
 
 
 def test_usage_error_exit_code():
@@ -503,8 +517,7 @@ def _argvs(draw):
     from wallnorm import cli
 
     name = draw(st.sampled_from(list(cli._SUBCOMMANDS)))
-    spec = cli._Spec()  # the arguments as the reader records them
-    cli._SUBCOMMANDS[name][1](spec)
+    spec = cli._spec(cli._SUBCOMMANDS[name][2])  # the arguments as the reader reads them
     option = st.sampled_from(sorted(spec.options))
     stray = st.one_of(
         _VALUE_WORDS, option, st.sampled_from(["-h", "--help", "--", "-", "-x", "--zzz", name]),
@@ -530,6 +543,23 @@ def test_reader_parity_with_the_full_parser(argv):
         built = _reader_matches_the_full_parser(argv)
     # an argv the reader accepts constructs no argparse parser; any other falls back
     assert built == (cli._read(argv) is None)
+
+
+@pytest.mark.parametrize("arguments", [
+    [("--n", {"action": "count"})],
+    [("--n", {"nargs": "?"})],
+    [("xs", {"nargs": "*"})],
+    [("x", {"choices": ("a", "b")})],
+    [("--x", {"metavar": "X"})],
+    [("xs", {"nargs": "+"}), ("y", {})],
+    [(("--a", {"action": "store_true"}), ("--b", {"action": "store_const", "const": 1}))],
+], ids=str)
+def test_reader_refuses_what_it_cannot_read(arguments):
+    # argparse takes each of these; the reader refuses its table rather than misread an argv
+    from wallnorm import cli
+
+    with pytest.raises(TypeError, match="cannot read|unexpected keyword"):
+        cli._spec(cli._map(*arguments))
 
 
 def test_requests_skip_the_full_parser(workdir, monkeypatch, capsys):
@@ -561,3 +591,89 @@ def test_console_script_installed(workdir):
     )
     assert result.returncode == 0
     assert "V=1" in result.stdout
+
+
+def _definitions(parser):
+    """Each subcommand of a parser: name, help line, its actions and its exclusive groups."""
+    import argparse
+
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    return [
+        (name, helps[name],
+         [(a.option_strings, a.dest, a.nargs, a.default, a.required, a.choices, a.help,
+           getattr(a.type, "__name__", None))
+          for a in p._actions if not isinstance(a, argparse._HelpAction)],
+         [[a.dest for a in g._group_actions] for g in p._mutually_exclusive_groups])
+        for name, p in sub.choices.items()
+    ]
+
+
+# recorded from the parser as it stood before the subcommand table was rewritten
+_MAP = [
+    ([], "input", None, None, True, None, "wall-system file", None),
+    (["--basis"], "basis", None, None, False, None,
+     "basis file (defaults to the computed basis)", None),
+]
+_OUT = "output file (stdout otherwise)"
+CLI_DEFINITIONS = [
+    ("info", "V, E, F, genus, curves, parity", _MAP, []),
+    ("coorientations", "enumerate Eulerian coorientations", [
+        *_MAP,
+        (["--classes"], "classes", 0, False, False, None, "also print the class multiset", None),
+        (["--list"], "list_dir", None, None, False, None,
+         "write one coorientation file per item", None),
+        (["--max-enum"], "max_enum", None, None, False, None, "enumeration cap", "int"),
+    ], []),
+    ("classes", "Eulerian class multiset", _MAP, []),
+    ("ball", "dual unit ball", [
+        *_MAP,
+        (["--extreme"], "extreme", 0, False, False, None, "extreme points (default)", None),
+        (["--all-classes"], "all_classes", 0, False, False, None, "all class points", None),
+        (["--area"], "area", 0, False, False, None, "exact area (genus one)", None),
+    ], [["extreme", "all_classes", "area"]]),
+    ("norm", "intersection norm of an integer class", [
+        *_MAP,
+        ([], "coords", "+", None, True, None, "class coordinates a1 .. a2g", "int"),
+    ], []),
+    ("oracle", "brute-force minimum with certificate", [
+        *_MAP,
+        ([], "coords", "+", None, True, None, None, "int"),
+        (["--radius"], "radius", None, None, False, None, "cover truncation radius", "int"),
+        (["--certificate"], "certificate", 0, False, False, None, None, None),
+    ], []),
+    ("verify", "oracle vs max formula over a box", [
+        *_MAP,
+        (["--box"], "box", None, None, True, None, "coordinate box radius", "int"),
+    ], []),
+    ("realize", "realize a class as a coorientation", [
+        *_MAP,
+        ([], "coords", "+", None, True, None, None, "int"),
+        (["--out"], "out", None, None, False, None, "write the coorientation file here", None),
+        (["--method"], "method", None, "auto", False, ("auto", "lookup"), None, None),
+    ], []),
+    ("birkhoff", "classify Birkhoff cross sections", [
+        *_MAP,
+        (["--json-report"], "json_report", None, None, False, None,
+         "also write a JSON report", None),
+    ], []),
+    ("svg", "render the genus-one dual ball", [
+        *_MAP,
+        (["--out"], "out", None, None, False, None, _OUT, None),
+    ], []),
+    ("fixture", "emit a torus grid wall system G(m,n)", [
+        ([], "m", None, None, True, None, "number of horizontal circles", "int"),
+        ([], "n", None, None, True, None, "number of vertical circles", "int"),
+        (["--out"], "out", None, None, False, None, _OUT, None),
+        (["--basis-out"], "basis_out", None, None, False, None,
+         "also write the grid basis file", None),
+    ], []),
+]
+
+
+def test_cli_definitions_are_pinned():
+    # the parity tests compare the reader with a parser built from the same
+    # table; this pins the table itself: names, order, arguments, help lines
+    from wallnorm import cli
+
+    assert _definitions(cli.build_parser()) == CLI_DEFINITIONS

@@ -246,9 +246,10 @@ def test_cover_table_over_budget_is_refused(monkeypatch):
     assert len(wmap.faces) * 19**6 > oracle.MAX_COVER_STATES
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the cover table was allocated")
+        raise AssertionError("the cover table or the box was allocated")
 
     monkeypatch.setattr(np, "full", refuse)
+    monkeypatch.setattr(oracle, "_box_classes", refuse)  # nor the classes of the box listed
     with pytest.raises(ResourceLimit, match="over the budget"):
         verify_min_equals_max(wmap, basis, 1)
     with pytest.raises(ResourceLimit, match="truncation 9 needs"):

@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import wallnorm
 from wallnorm import (
     BadDegree,
     BadEuler,
@@ -55,6 +61,44 @@ def test_garbage_rejected():
         parse_wall_system("vertices 1\nvertex 0: a b c d\n")
     with pytest.raises(MalformedInput):
         parse_wall_system("vertices 1\nvertex 0: 0 1 2 3\nedge 0: 0 2\n")
+
+
+# a header or index line with the wrong number of integers, and the line it names
+MISCOUNTED_LINES = [
+    ("vertices\n", "line 1: expected one vertex count, got ''"),
+    ("vertices 1 2\n", "line 1: expected one vertex count, got '1 2'"),
+    ("vertices 1\nvertex 0 1: 0 1 2 3\n", "line 2: expected one vertex index, got '0 1'"),
+]
+
+
+@pytest.mark.parametrize("text, message", MISCOUNTED_LINES)
+def test_miscounted_integers_are_malformed(text, message):
+    with pytest.raises(MalformedInput) as info:
+        parse_wall_system(text)
+    assert str(info.value) == message
+
+
+def test_huge_vertex_header_is_refused_before_allocating():
+    # in a child capped at 1 GB of address space, so that a parser which
+    # does allocate the 10**9 indices fails fast instead of filling memory
+    script = textwrap.dedent("""
+        import resource, tracemalloc
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        from wallnorm import MalformedInput, parse_wall_system
+        tracemalloc.start()
+        try:
+            parse_wall_system("vertices 1000000000\\n")
+        except MalformedInput as exc:
+            print(exc)
+        print(tracemalloc.get_traced_memory()[1])
+    """)
+    src = str(Path(wallnorm.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+    message, peak = result.stdout.splitlines()
+    assert message == "vertex indices must be exactly 0..999999999"
+    assert int(peak) < 2**20
 
 
 def test_disconnected_rejected():
