@@ -60,6 +60,15 @@ def _coords(point) -> str:
     return " ".join(str(x) for x in point)
 
 
+def _emit(text: str, path: str | None, out) -> None:
+    """Write the text to the file at path and say so, or print it when there is no path."""
+    if path:
+        Path(path).write_text(text)
+        print(f"written {path}", file=out)
+    else:
+        print(text, end="", file=out)
+
+
 def cmd_info(args, out) -> int:
     wmap, basis = _load(args)
     _header(out, wmap, basis)
@@ -103,10 +112,10 @@ def cmd_classes(args, out) -> int:
 def cmd_ball(args, out) -> int:
     wmap, basis = _load(args)
     _header(out, wmap, basis)
+    if args.area and basis.rank != 2:  # before the ball is paid for
+        raise WallNormError("--area is only available for genus-one maps")
     ball = dual_ball(wmap, basis)
     if args.area:
-        if ball.g1_area is None:
-            raise WallNormError("--area is only available for genus-one maps")
         print(f"area {ball.g1_area}", file=out)
         return 0
     points = ball.points if args.all_classes else ball.extreme
@@ -164,11 +173,7 @@ def cmd_realize(args, out) -> int:
         raise
     _header(out, wmap, basis)
     print(f"realized {_coords(result.target)} method={result.method}", file=out)
-    if args.out:
-        Path(args.out).write_text(result.coorientation.to_text())
-        print(f"written {args.out}", file=out)
-    else:
-        print(result.coorientation.to_text(), end="", file=out)
+    _emit(result.coorientation.to_text(), args.out, out)
     return 0
 
 
@@ -209,8 +214,7 @@ def cmd_birkhoff(args, out) -> int:
             "outside": report.outside_count,
             "section_exists": report.section_exists,
         }
-        Path(args.json_report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"written {args.json_report}", file=out)
+        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.json_report, out)
     return 0
 
 
@@ -219,12 +223,7 @@ def cmd_svg(args, out) -> int:
     check_genus_one(basis.rank)  # before the ball and the classification are paid for
     ball = dual_ball(wmap, basis)
     report = classify(wmap, basis, ball)
-    text = render_svg(ball, [(e.point, e.status) for e in report.entries])
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"written {args.out}", file=out)
-    else:
-        print(text, end="", file=out)
+    _emit(render_svg(ball, [(e.point, e.status) for e in report.entries]), args.out, out)
     return 0
 
 
@@ -232,15 +231,9 @@ def cmd_fixture(args, out) -> int:
     m, n = args.m, args.n
     if m < 1 or n < 1:
         raise WallNormError("grid parameters must be at least 1")
-    text = fixtures.grid_text(m, n)
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"written {args.out}", file=out)
-    else:
-        print(text, end="", file=out)
+    _emit(fixtures.grid_text(m, n), args.out, out)
     if args.basis_out:
-        Path(args.basis_out).write_text(fixtures.grid_basis_text(m, n))
-        print(f"written {args.basis_out}", file=out)
+        _emit(fixtures.grid_basis_text(m, n), args.basis_out, out)
     return 0
 
 

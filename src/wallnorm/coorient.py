@@ -22,7 +22,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import product
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalError, MalformedInput, NotBipartite, NotEulerian, ResourceLimit
 from .homology import Coords, HomologyBasis, _check_basis_map, homology_basis
@@ -155,26 +155,21 @@ def _check_cap(count: int, limit: int | None = None) -> None:
 
 
 def _bfs_edge_order(wmap: WallSystemMap) -> list[int]:
-    """Edges grouped by vertex, the vertices in BFS order of the wall graph.
+    """Edges grouped by vertex, the vertices in BFS order of the wall graph from vertex 0.
 
-    Vertices are taken breadth first from vertex 0 (restarting at the
-    smallest vertex not yet reached); each appends its edges not yet placed,
-    in rotation order.
+    Each vertex appends its edges not yet placed, in rotation order.  A
+    valid map is connected, so the search reaches every vertex.
     """
     order: dict[int, None] = {}  # insertion-ordered set of the placed edges
-    seen: set[int] = set()
-    for root in range(wmap.vertex_count):
-        if root in seen:
-            continue
-        seen.add(root)
-        queue = deque([root])
-        while queue:
-            for d in wmap.rotations[queue.popleft()]:
-                order.setdefault(wmap.dart_edge[d])
-                w = wmap.dart_vertex[wmap.alpha[d]]
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        for d in wmap.rotations[queue.popleft()]:
+            order.setdefault(wmap.dart_edge[d])
+            w = wmap.dart_vertex[wmap.alpha[d]]
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
     return list(order)
 
 
@@ -262,17 +257,14 @@ def enumerate_eulerian(
     return EulerianSet(len(items), items, Counter(classes_of(items, basis)))
 
 
-_CLASS_BLOCK = 1 << 14  # items per matrix product, bounding the int64 copy
+def classes_of(items: Iterable[Coorientation], basis: HomologyBasis) -> Iterator[Coords]:
+    """The classes of Eulerian items in their order, each the cycle-by-edge counts times its signs.
 
-
-def classes_of(items: Sequence[Coorientation], basis: HomologyBasis) -> Iterator[Coords]:
-    """The classes of Eulerian items in their order, one matrix product per block."""
-    import numpy as np  # imported here, not at start-up: it costs most of `import wallnorm`
-
-    counts = np.array(basis.cycle_edge_counts, dtype=np.int64).T
-    for start in range(0, len(items), _CLASS_BLOCK):
-        block = np.array([c.signs for c in items[start:start + _CLASS_BLOCK]], dtype=np.int64)
-        yield from map(tuple, (block @ counts).tolist())
+    Lazy: an item is classed only when its class is asked for.
+    """
+    counts = basis.cycle_edge_counts
+    for coor in items:
+        yield tuple(sum(map(mul, row, coor.signs)) for row in counts)
 
 
 def eulerian_class_counts(
@@ -409,10 +401,8 @@ def support_coorientation(
                     parent[v] = (u, e)
                     changed = True
             if not changed:
-                signs = tuple(signs)
-                return Coorientation._unchecked(signs), tuple(
-                    sum(map(mul, row, signs)) for row in counts
-                )
+                coor = Coorientation._unchecked(tuple(signs))
+                return coor, next(classes_of((coor,), basis))
             cycle = _parent_cycle(parent)
         for e in cycle:
             signs[e] = -signs[e]

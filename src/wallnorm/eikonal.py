@@ -226,8 +226,8 @@ def realize(
 def _lookup(wmap: WallSystemMap, basis: HomologyBasis, n: Coords) -> RealizationResult:
     """The first Eulerian coorientation of class n in enumeration order.
 
-    Each item is classed once; ``realize`` has checked the basis against
-    the map already.
+    Items are classed once each, in order, up to the first of class n;
+    ``realize`` has checked the basis against the map already.
     """
     items = tuple(iter_eulerian(wmap))
     for coor, cls in zip(items, classes_of(items, basis)):

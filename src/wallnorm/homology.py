@@ -150,18 +150,13 @@ def _spanning_tree(dual: DualGraph) -> tuple[set[int], dict[int, tuple[int, Cros
             tree.add(e)
 
     # orient the tree from node 0 outwards for path queries
-    adjacency: dict[int, list[tuple[int, int, int]]] = {n: [] for n in range(dual.node_count)}
-    for e in sorted(tree):
-        right, left = dual.ends[e]
-        adjacency[right].append((e, +1, left))
-        adjacency[left].append((e, -1, right))
     parents: dict[int, tuple[int, Crossing]] = {0: (0, (0, 0))}
     frontier = [0]
     while frontier:
         nxt = []
         for node in frontier:
-            for e, direction, other in sorted(adjacency[node]):
-                if other not in parents:
+            for e, direction, other in dual.moves[node]:
+                if e in tree and other not in parents:
                     parents[other] = (node, (e, direction))
                     nxt.append(other)
         frontier = nxt

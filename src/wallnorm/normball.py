@@ -7,7 +7,7 @@ unit ball, the convex hull of those classes.
 computes it at any genus.  A cold ``norm`` runs it once, on a cost
 perturbed so that the maximizer is the lexicographically smallest
 maximizing class, and builds no ball; ``norm_rational`` scales its class
-to integers first; ``bounding_box`` takes one query per signed
+to integers and asks ``norm``; ``bounding_box`` takes one query per signed
 coordinate direction.  Once the ball is kept on the basis, norm queries
 maximize over its extreme points instead.
 
@@ -99,10 +99,7 @@ def norm(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence[int]) -> NormVal
     maximizers form a face of the ball, whose lexicographic minimum is a
     vertex.  A kept ball's extreme points are in ascending order, so the
     first maximizer among them is that vertex.  Without a kept ball one
-    circulation finds it: with B = 2 * sum |cycle_edge_counts| + 1, above
-    every |p_i - q_i| between two classes, the cost
-    B^r * a - sum_i B^(r-1-i) * e_i ranks classes by a.p first and then
-    by p_1, p_2, ... ascending, so its only maximizer is the witness.
+    circulation, ``_support_vertex``, finds it.
 
     A cold query pays that circulation every time and keeps nothing.  A
     caller with many queries on one basis builds the ball first with
@@ -112,11 +109,7 @@ def norm(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence[int]) -> NormVal
     a = _class_coords(a, basis.rank)
     extreme = _kept_extreme(wmap, basis)
     if extreme is None:
-        r = basis.rank
-        big = 2 * sum(abs(x) for row in basis.cycle_edge_counts for x in row) + 1
-        witness = _support_point(
-            wmap, basis, tuple(big**r * x - big ** (r - 1 - i) for i, x in enumerate(a))
-        )
+        witness = _support_vertex(wmap, basis, a)
         return NormValue(sum(map(mul, witness, a)), witness)
     values = [sum(map(mul, p, a)) for p in extreme]
     best = max(values)
@@ -124,19 +117,14 @@ def norm(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence[int]) -> NormVal
 
 
 def norm_rational(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence) -> Fraction:
-    """The norm extended to rational classes (max of linear functionals).
+    """The norm extended to rational classes: the norm of s * a over s.
 
-    Without a kept ball the class is scaled to integers, and one
-    circulation finds a maximizer of that pairing, which maximizes a's too.
+    The norm is positively homogeneous, so s, the least common multiple
+    of the denominators, scales the class to integers.
     """
-    a = tuple(Fraction(x) for x in a)
-    if len(a) != basis.rank:
-        raise ValueError(f"class must have {basis.rank} coordinates")
-    extreme = _kept_extreme(wmap, basis)
-    if extreme is None:
-        scale = lcm(*(x.denominator for x in a))
-        extreme = (_support_point(wmap, basis, tuple(int(x * scale) for x in a)),)
-    return max(sum(map(mul, p, a)) for p in extreme)
+    a = [Fraction(x) for x in a]
+    scale = lcm(*(x.denominator for x in a))
+    return Fraction(norm(wmap, basis, [int(x * scale) for x in a]).value, scale)
 
 
 def bounding_box(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[tuple[int, int], ...]:
@@ -176,16 +164,19 @@ def _support_point(wmap: WallSystemMap, basis: HomologyBasis, cost: Sequence[int
     return cls
 
 
-def _support_vertex(wmap: WallSystemMap, basis: HomologyBasis, d: Coords) -> Coords:
-    """The vertex of the genus-one ball maximizing d, ties broken by d turned left.
+def _support_vertex(wmap: WallSystemMap, basis: HomologyBasis, d: Sequence[int]) -> Coords:
+    """The lexicographically smallest class maximizing d: a vertex of the ball.
 
-    The cost M*d + t with t = d turned a quarter left and M above every
-    |t.(p - q)| orders classes by d first and t second, so the maximizer is
-    unique: a vertex.
+    With B = 2 * sum |cycle_edge_counts| + 1, above every |p_i - q_i|
+    between two classes, the cost B^r * d - sum_i B^(r-1-i) * e_i ranks
+    classes by d.p first and then by p_1, p_2, ... ascending, so its only
+    maximizer is that class.
     """
-    turned = (-d[1], d[0])
-    bound = 2 * sum(abs(t) * sum(map(abs, row)) for t, row in zip(turned, basis.cycle_edge_counts))
-    return _support_point(wmap, basis, tuple((bound + 1) * a + t for a, t in zip(d, turned)))
+    r = basis.rank
+    big = 2 * sum(abs(x) for row in basis.cycle_edge_counts for x in row) + 1
+    return _support_point(
+        wmap, basis, tuple(big**r * x - big ** (r - 1 - i) for i, x in enumerate(d))
+    )
 
 
 def _genus_one_ball(

@@ -365,23 +365,17 @@ def _certificate(
     return MultiCurveCertificate(tuple(cycles), total, a)
 
 
-def verify_min_equals_max(
-    wmap: WallSystemMap,
-    basis: HomologyBasis,
-    box_radius: int,
-    h: int | None = None,
-    max_truncation: int | None = None,
-) -> VerifyReport:
+def verify_min_equals_max(wmap: WallSystemMap, basis: HomologyBasis, box_radius: int) -> VerifyReport:
     """Compare the oracle minimum against the Eulerian maximum over a box.
 
     Both sides are computed independently for every integer class with
     coordinates bounded by box_radius; any disagreement is reported.
     """
     radius = int(box_radius)
-    trunc = h if h is not None else default_truncation(basis, radius)
+    trunc = default_truncation(basis, radius)
     _cover_states(wmap, basis, trunc)  # before the watched box is listed
     trunc, _, m, _ = _stable_tables(
-        wmap, basis, radius, trunc, max_truncation, _box_classes(basis.rank, radius),
+        wmap, basis, radius, trunc, None, _box_classes(basis.rank, radius),
         lambda cs, t: f"classes {cs[:3]}... not represented inside radius {t}",
         lambda cs, t: f"values for {cs[:3]}... still improving at {t}",
     )

@@ -1,17 +1,17 @@
 """Exact integer matrix tools: Smith normal form and small unimodular algebra.
 
-Everything here runs over Python's arbitrary-precision integers (with
-Fractions for the inverse); there is no floating point and no modular
-shortcut anywhere.
+Everything here runs over Python's arbitrary-precision integers; there
+is no floating point and no modular shortcut anywhere.  The determinant
+and the inverse come from the one fraction-free elimination of
+``simplex``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .errors import InternalError
+from .simplex import _eliminate
 
 
 def identity(n: int) -> list[list[int]]:
@@ -128,48 +128,27 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int, cols: int) -> 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    a = [[int(x) for x in row] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    rank, pivot = _eliminate([[int(x) for x in row] for row in matrix])
+    return pivot if rank == len(matrix) else 0
 
 
 def unimodular_inverse(matrix: Sequence[Sequence[int]]) -> list[list[int]] | None:
-    """Integer inverse of a square matrix, or None when |det| != 1."""
-    n = len(matrix)
-    if int_det(matrix) not in (1, -1):
+    """Integer inverse of a square matrix, or None when |det| != 1.
+
+    The inverse is the adjugate divided by det, which is det times the
+    adjugate when det = +-1: entry (i, j) is det times the signed
+    determinant of the matrix without row j and column i.
+    """
+    det = int_det(matrix)
+    if det not in (1, -1):
         return None
-    aug = [
-        [Fraction(matrix[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
+    n = len(matrix)
+    return [
+        [
+            det * (-1) ** (i + j) * int_det(
+                [[x for c, x in enumerate(row) if c != i] for r, row in enumerate(matrix) if r != j]
+            )
+            for j in range(n)
+        ]
         for i in range(n)
     ]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in out for x in row):
-        raise InternalError("inverse of a unimodular matrix is not integral")
-    return [[int(x) for x in row] for row in out]

@@ -192,6 +192,22 @@ def test_svg_refuses_genus_two_before_building_the_ball(workdir, monkeypatch, ca
     assert "WrongGenus: SVG rendering needs 2 coordinates, got 4" in capsys.readouterr().err
 
 
+def test_ball_area_refuses_genus_two_before_building_the_ball(workdir, monkeypatch, capsys):
+    from wallnorm import cli
+    from wallnorm.fixtures import genus2_example
+
+    def refuse(*args):
+        raise AssertionError("ball --area built the ball of a genus-two map")
+
+    monkeypatch.setattr(cli, "dual_ball", refuse)
+    (workdir / "genus2.wall").write_text(genus2_example().canonical_text)
+    code, text = run_cli(["ball", str(workdir / "genus2.wall"), "--area"])
+    assert code == 1
+    assert [line.split()[:2] for line in text.splitlines()] == [["#", "map"], ["#", "basis"]]
+    assert capsys.readouterr().err == (
+        "error: WallNormError: --area is only available for genus-one maps\n")
+
+
 def test_svg_output(workdir):
     out_file = workdir / "ball.svg"
     code, _ = run_cli(
@@ -400,14 +416,18 @@ def test_requests_start_without_numpy(workdir):
     lean = [
         ["coorientations", g22, "--classes"], ["norm", g22, "4", "1"], ["ball", g22],
         ["birkhoff", g22], ["realize", g22, "0", "0"], ["svg", g22],
+        ["coorientations", g22, "--list", str(workdir / "coors")],
+        ["realize", g22, "0", "0", "--method", "lookup"],
         ["norm", str(genus2), "1", "0", "0", "0"], ["birkhoff", str(genus2)],
         ["realize", str(genus2), "1", "-1", "-1", "-1"],
+        ["realize", str(genus2), "1", "-1", "-1", "-1", "--method", "lookup"],
     ]
     script = textwrap.dedent(f"""
         import io, sys
         import wallnorm, wallnorm.cli
         print("import", 0, "numpy" in sys.modules, "argparse" in sys.modules)
-        for argv in {lean!r} + [["svg", {str(genus2)!r}], ["oracle", {g22!r}, "1", "0"]]:
+        refused = [["svg", {str(genus2)!r}], ["ball", {str(genus2)!r}, "--area"]]
+        for argv in {lean!r} + refused + [["oracle", {g22!r}, "1", "0"]]:
             code = wallnorm.cli.main(argv, out=io.StringIO())
             print(argv[0], code, "numpy" in sys.modules, "argparse" in sys.modules)
     """)
@@ -419,7 +439,8 @@ def test_requests_start_without_numpy(workdir):
     expected = [["import", "0", "False", "False"]] + [
         [argv[0], "0", "False", "False"] for argv in lean]
     assert [line.split() for line in result.stdout.splitlines()] == expected + [
-        ["svg", "1", "False", "False"], ["oracle", "0", "True", "False"]]
+        ["svg", "1", "False", "False"], ["ball", "1", "False", "False"],
+        ["oracle", "0", "True", "False"]]
 
 
 # one valid argv per subcommand; the parity test derives the bad ones from it

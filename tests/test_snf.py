@@ -66,3 +66,27 @@ def test_unimodular_inverse():
     assert unimodular_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
     assert unimodular_inverse([[2, 0], [0, 2]]) is None
     assert unimodular_inverse([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
+
+
+def test_unimodular_inverse_of_random_matrices():
+    rng = random.Random(19)
+    for _ in range(200):
+        n = rng.randrange(1, 9)
+        m = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(4 * n):  # row i += c * row k, or row i negated
+            i, k = rng.randrange(n), rng.randrange(n)
+            if i == k:
+                m[i] = [-x for x in m[i]]
+            else:
+                c = rng.randrange(-3, 4)
+                m[i] = [x + c * y for x, y in zip(m[i], m[k])]
+        inverse = unimodular_inverse(m)
+        assert mat_mul(m, inverse) == [[int(i == j) for j in range(n)] for i in range(n)]
+    refused = 0
+    for _ in range(200):
+        n = rng.randrange(1, 6)
+        m = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+        if abs(int_det(m)) != 1:
+            assert unimodular_inverse(m) is None
+            refused += 1
+    assert refused > 100
