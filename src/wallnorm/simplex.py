@@ -1,4 +1,4 @@
-"""Exact linear algebra for point sets.
+"""Exact integer elimination for point sets and square matrices.
 
 ``affine_dimension`` is the dimension of an affine hull, by integer
 elimination; the dual ball and the normal rank of the highest potential
