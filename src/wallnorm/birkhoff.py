@@ -13,15 +13,17 @@ The classification enumerates nothing at any genus: the bounding box of
 the dual ball comes from 2 * rank support queries
 (``normball.bounding_box``), and the position of each congruent point
 from its highest potential, an integer shortest-path computation on the
-dual graph.  The arc costs of all the points come from one product of
-the points with the move deltas, in Python integers.
+dual graph.  The pairings of all the points with the edge weights come
+from one product, in Python integers, and each pairing prices both
+crossings of its edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eikonal import _potential
+from .eikonal import _arcs, _potential
+from .errors import InternalError
 from .homology import Coords, HomologyBasis, gamma_parity
 from .normball import DualBall, bounding_box
 from .surface_map import WallSystemMap
@@ -78,9 +80,11 @@ def classify(
     """Classify every congruent lattice point of the dual ball's bounding box.
 
     A given ``ball`` supplies the box; without one it comes from the
-    support queries.  Each position comes straight from the highest
-    potential, with no check of the ball's dimension: none is needed.  The curves fill the surface, so a
-    closed dual walk of a nonzero class crosses a wall and the norm is
+    support queries.  A ball built on another basis is refused with
+    InternalError: its box is in other coordinates.  Each position comes
+    straight from the highest potential, with no check of the ball's
+    dimension: none is needed.  The curves fill the surface, so a closed
+    dual walk of a nonzero class crosses a wall and the norm is
     definite.  The ball is symmetric (reversing a coorientation negates its
     class), so its affine hull is a linear subspace spanned by lattice
     points; were it proper, some nonzero integer class v would be
@@ -88,22 +92,22 @@ def classify(
     would be 0.  So the ball is full-dimensional and every position is
     well defined.
     """
+    if ball is not None and ball.basis not in (None, basis):
+        raise InternalError("the ball belongs to a different basis")
     box = bounding_box(wmap, basis) if ball is None else ball.bounding_box()
     parity = gamma_parity(wmap, basis)
     chi, circles, genus = section_invariants(wmap)
     entries = []
     counts = {"interior": 0, "boundary": 0, "outside": 0}
     congruent = [range(lo + (lo - p) % 2, hi + 1, 2) for (lo, hi), p in zip(box, parity)]
-    # the arc costs 1 - point.delta of every point: the product of the points
-    # with the move deltas, one coordinate at a time, in itertools.product order
-    rows = [((), [1] * len(basis.moves))]
-    for values, column in zip(congruent, zip(*(delta for _, _, delta, _ in basis.moves))):
-        rows = [(point + (x,), [c - x * d for c, d in zip(row, column)])
+    # the pairings point.w_e of every point: the product of the points with the
+    # edge weights, one cocycle at a time, in itertools.product order
+    rows = [((), [0] * wmap.edge_count)]
+    for values, cocycle in zip(congruent, basis.cocycles):
+        rows = [(point + (x,), [t + x * w for t, w in zip(row, cocycle)])
                 for point, row in rows for x in values]
-    ends = [(u, v, crossing) for u, v, _, crossing in basis.moves]
     for point, row in rows:
-        arcs = [(u, v, cost, crossing) for (u, v, crossing), cost in zip(ends, row)]
-        status = _potential(wmap, basis, arcs).position
+        status = _potential(wmap, basis, _arcs(basis, row)).position
         counts[status] += 1
         entries.append(SectionClass(point, status, chi, circles, genus))
     return ClassificationReport(

@@ -412,7 +412,9 @@ def _parent_cycle(parent: list) -> list | None:
     """The labels of a cycle of Bellman-Ford parent pointers (u, label), or None.
 
     Every such cycle has negative weight; one shows up by round n when a
-    negative cycle exists, usually much earlier.
+    negative cycle exists, usually much earlier.  Callers may ask mid-run:
+    ``support_coorientation`` after each round, ``eikonal._potential`` once
+    face 0's label has gone negative, when a cycle is sure to be there.
     """
     state = [0] * len(parent)  # 0 unseen, 1 on the current chain, 2 done
     for start in range(len(parent)):

@@ -13,7 +13,8 @@ weights of e).  ``highest_potential`` computes g exactly by Bellman-Ford
 and reads the position of n against the dual ball off it:
 
 * a negative cycle is a closed dual walk shorter than its pairing with n,
-  so n is outside the ball, and the walk is the certificate;
+  so n is outside the ball, and the walk is the certificate; the run stops
+  once face 0's own label goes negative, usually within a few rounds;
 * otherwise a cycle of tight crossings (zero reduced cost) is a walk whose
   length equals its pairing with n, so n is on the boundary;
 * otherwise n is interior.
@@ -80,12 +81,19 @@ def highest_potential(
 ) -> HighestPotential:
     """Bellman-Ford from face 0 on the dual graph with the target's crossing costs."""
     n = _class_coords(n, basis.rank, "target class")
-    # arcs (from face, to face, cost 1 - n.delta, crossing)
-    arcs = [
-        (u, v, 1 - sum(map(mul, n, delta)), crossing)
-        for u, v, delta, crossing in basis.moves
-    ]
-    return _potential(wmap, basis, arcs)
+    return _potential(wmap, basis, _arcs(basis, [sum(map(mul, n, w)) for w in basis.edge_weights]))
+
+
+def _arcs(basis: HomologyBasis, pairings: Sequence[int]) -> list[tuple[int, int, int, Crossing]]:
+    """The arcs (from, to, cost, crossing) of the moves in order, from t = n.w_e per edge.
+
+    An edge's moves are adjacent, deltas w_e then -w_e: t prices both, 1 - t and 1 + t.
+    """
+    moves = basis.moves
+    arcs = []
+    for (u, v, _, right_left), (_, _, _, left_right), t in zip(moves[::2], moves[1::2], pairings):
+        arcs += ((u, v, 1 - t, right_left), (v, u, 1 + t, left_right))
+    return arcs
 
 
 def _potential(
@@ -104,9 +112,9 @@ def _potential(
                 g[v] = gu + cost
                 parent[v] = (u, crossing)
                 changed = True
-        if not changed:
+        if not changed or g[0] < 0:
             break
-    else:  # relaxed in round F: the parent pointers close a cycle, and it is negative
+    if changed:  # round F relaxed or face 0's label went negative: a negative parent cycle
         return HighestPotential("outside", certificate=tuple(reversed(_parent_cycle(parent))))
 
     # the step across an edge is one minus the reduced cost of its right -> left arc

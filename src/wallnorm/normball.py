@@ -8,8 +8,8 @@ computes it at any genus.  A cold ``norm`` runs it once, on a cost
 perturbed so that the maximizer is the lexicographically smallest
 maximizing class, and builds no ball; ``norm_rational`` scales its class
 to integers and asks ``norm``; ``bounding_box`` takes one query per signed
-coordinate direction.  Once the ball is kept on the basis, norm queries
-maximize over its extreme points instead.
+coordinate direction.  Once the ball is kept on the basis, a norm query
+pairs the class with its extreme points in one pass instead.
 
 The ball itself: at genus one it is a polygon walked with the same
 circulation; its vertices are the extreme points, and the class points
@@ -80,18 +80,6 @@ class DualBall:
         )
 
 
-def _kept_extreme(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[Coords, ...] | None:
-    """The extreme points of the ball kept on the basis, or None when it keeps none."""
-    _check_basis_map(wmap, basis)
-    ball = basis._memo.get("ball")
-    if ball is None:
-        return None
-    extreme = ball.extreme
-    if not extreme:
-        raise InternalError("the dual ball has no extreme points")
-    return extreme
-
-
 def norm(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence[int]) -> NormValue:
     """Intersection norm of an integer class, with the smallest maximizing class.
 
@@ -104,14 +92,22 @@ def norm(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence[int]) -> NormVal
     A cold query pays that circulation every time and keeps nothing.  A
     caller with many queries on one basis builds the ball first with
     ``dual_ball``; every later query on the basis, this one and
-    ``norm_rational``, then only reads its extreme points.
+    ``norm_rational``, then pairs the class with its extreme points.
     """
     a = _class_coords(a, basis.rank)
-    extreme = _kept_extreme(wmap, basis)
-    if extreme is None:
+    _check_basis_map(wmap, basis)
+    ball = basis._memo.get("ball")
+    if ball is None:
         witness = _support_vertex(wmap, basis, a)
         return NormValue(sum(map(mul, witness, a)), witness)
-    values = [sum(map(mul, p, a)) for p in extreme]
+    extreme = ball.extreme
+    if not extreme:
+        raise InternalError("the dual ball has no extreme points")
+    if len(a) == 2:  # genus one, where warm queries come in bulk
+        a0, a1 = a
+        values = [x * a0 + y * a1 for x, y in extreme]
+    else:
+        values = [sum(map(mul, p, a)) for p in extreme]
     best = max(values)
     return NormValue(best, extreme[values.index(best)])
 

@@ -1,8 +1,11 @@
 """Reference implementations the tests compare the package against.
 
 They are the plain forms of computations the package does faster, kept
-only to check that the faster form gives identical results.  Two of them
-compute the package's answers another way:
+only to check that the faster form gives identical results;
+``plain_potential``, for one, is the highest potential by F full
+Bellman-Ford rounds with each move priced on its own, which the
+early-stopping, edge-priced ``eikonal.highest_potential`` is held to.
+Two of them compute the package's answers another way:
 
 * ``solve_lp``, a textbook two-phase tableau simplex with Bland's rule
   over Fractions, and ``hull_position``, which places a point against a
@@ -243,6 +246,39 @@ def hull_position(points: Sequence[Sequence[int]], target: Sequence[int]) -> str
     if status != OPTIMAL:
         return "outside"
     return "interior" if value > 0 else "boundary"
+
+
+def plain_potential(wmap: WallSystemMap, basis: HomologyBasis, n: Sequence[int]):
+    """The highest potential by F full Bellman-Ford rounds, each move priced on its own.
+
+    Returns (position, values, steps, tight) as ``eikonal.highest_potential``
+    has them; outside the ball (a relaxation in round F) values and steps
+    are None and tight is empty.  Boundary means the tight arcs close a cycle: some tight arc's
+    head reaches its tail along tight arcs.
+    """
+    faces = wmap.dual_graph.node_count
+    arcs = [(u, v, 1 - sum(a * d for a, d in zip(n, delta))) for u, v, delta, _ in basis.moves]
+    g = [None] * faces
+    g[0] = 0
+    for _ in range(faces):
+        changed = False
+        for u, v, cost in arcs:
+            if g[u] is not None and (g[v] is None or g[u] + cost < g[v]):
+                g[v] = g[u] + cost
+                changed = True
+        if not changed:
+            break
+    else:
+        return "outside", None, None, ()
+    reduced = [g[u] + cost - g[v] for u, v, cost in arcs]
+    steps = tuple(1 - r for r, (_, _, _, (_, d)) in zip(reduced, basis.moves) if d > 0)
+    tight = tuple(move[:3] for move, r in zip(basis.moves, reduced) if r == 0)
+    reach = {f: {f} for f in range(faces)}
+    for _ in range(faces):
+        for u, v, _ in tight:
+            reach[u] |= reach[v]
+    position = "boundary" if any(u in reach[v] for u, v, _ in tight) else "interior"
+    return position, tuple(g), steps, tight
 
 
 State = tuple[int, Coords]

@@ -1,9 +1,12 @@
 import random
 
+import pytest
+
 from wallnorm import (
     class_of,
     classify,
     concat_closed_walks,
+    dual_ball,
     enumerate_eulerian,
     highest_potential,
     homology_basis,
@@ -12,7 +15,8 @@ from wallnorm import (
     section_invariants,
     set_user_basis,
 )
-from wallnorm.fixtures import four_geodesic_example, random_wall_system
+from wallnorm.errors import InternalError
+from wallnorm.fixtures import four_geodesic_example, grid_map, random_wall_system
 
 
 def test_g11_no_sections(g11, b11):
@@ -125,6 +129,21 @@ def test_classification_invariant_under_basis_change(g22):
             assert statuses_user[point] == status
     assert report_auto.interior_count == report_user.interior_count
     assert report_auto.boundary_count == report_user.boundary_count
+
+
+def test_classify_refuses_the_ball_of_another_basis():
+    # with the cycles swapped the auto basis's box is the user box transposed;
+    # read as the user box it classified 2 interior and 4 boundary points
+    wmap = grid_map(2, 3)
+    auto = homology_basis(wmap)
+    user = set_user_basis(wmap, auto.cycles[::-1])
+    report = classify(wmap, user)
+    assert (report.interior_count, report.boundary_count) == (2, 10)
+    with pytest.raises(InternalError, match="different basis"):
+        classify(wmap, user, dual_ball(wmap, auto))
+    assert classify(wmap, user, dual_ball(wmap, user)) == report
+    # an equal basis built anew shares the box
+    assert classify(wmap, homology_basis(wmap), dual_ball(wmap, auto)) == classify(wmap, auto)
 
 
 def test_report_metadata(g22, b22):

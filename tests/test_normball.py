@@ -98,23 +98,36 @@ def _differential_maps():
 
 
 def test_norm_equals_max_over_all_classes():
-    """Maximizing over the extreme points loses neither value nor witness."""
+    """Maximizing over the extreme points loses neither value nor witness, cold or warm."""
     rng = random.Random(62)
     for wmap, basis in _differential_maps():
         points = sorted(enumerate_eulerian(wmap, basis).classes)
-        queries = [(0,) * basis.rank]
-        queries += [tuple(rng.randint(-5, 5) for _ in range(basis.rank)) for _ in range(100)]
-        for a in queries:
+
+        def check(a):
             values = [sum(x * y for x, y in zip(p, a)) for p in points]
             best = max(values)  # the first maximizer is the smallest one
             result = norm(wmap, basis, a)
             assert (result.value, result.witness) == (best, points[values.index(best)]), a
+            return values.count(best)
+
+        queries = [(0,) * basis.rank]
+        queries += [tuple(rng.randint(-5, 5) for _ in range(basis.rank)) for _ in range(100)]
+        for a in queries:
+            check(a)
         for _ in range(20):
             a = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(basis.rank))
             assert norm_rational(wmap, basis, a) == max(
                 sum(x * y for x, y in zip(p, a)) for p in points
             ), a
-        assert dual_ball(wmap, basis) is dual_ball(wmap, basis)
+        ball = dual_ball(wmap, basis)
+        assert ball is dual_ball(wmap, basis)
+        # warm: the same queries read the kept ball, and at genus one each
+        # outer edge normal of the polygon, where two vertices tie
+        for a in queries:
+            check(a)
+        if basis.rank == 2:
+            for p, q in zip(ball.polygon, ball.polygon[1:] + ball.polygon[:1]):
+                assert check((q[1] - p[1], p[0] - q[0])) >= 2, (p, q)
 
 
 def test_norm_refuses_a_ball_without_extreme_points(g22, b22, monkeypatch):

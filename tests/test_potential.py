@@ -29,7 +29,9 @@ from wallnorm.fixtures import (
     random_wall_system,
 )
 
-from reference import extend_highest, hull_position, read_coorientation, seed_values
+from reference import (
+    extend_highest, hull_position, plain_potential, read_coorientation, seed_values,
+)
 
 # Lattice points compared per random map.  The box plus one ring of a
 # genus-3 ball holds up to 15625 points, too many Fraction LPs for the suite.
@@ -173,6 +175,29 @@ def test_outside_points_carry_a_negative_walk(random_higher_genus):
             else:
                 assert potential.certificate is None
         assert outside > 0
+
+
+def _assert_plain_potential(wmap, basis, ball):
+    outside = 0
+    for p in _box_and_ring(ball):
+        potential = highest_potential(wmap, basis, p)
+        got = (potential.position, potential.values, potential.steps, potential.tight)
+        assert got == plain_potential(wmap, basis, p), (wmap.digest, p)
+        if potential.position == "outside":
+            outside += 1
+            _assert_certificate(wmap, basis, p, potential.certificate)
+    assert outside > 0
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_potential_matches_the_plain_bellman_ford_on_fixtures(name):
+    """Pricing per edge and stopping once face 0's label goes negative change no answer."""
+    _assert_plain_potential(*FIXTURES[name]())
+
+
+def test_potential_matches_the_plain_bellman_ford_on_random_maps(random_higher_genus):
+    for loaded in random_higher_genus:
+        _assert_plain_potential(*loaded)
 
 
 def test_realize_outside_carries_certificate():
