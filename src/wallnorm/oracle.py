@@ -10,9 +10,18 @@ of the radius box at its base face: a BFS level is final when first
 assigned, so the tables equal those of a full sweep of the truncation box.
 A witness walk is read back from a reverse search out of its end state:
 stepping forward by the first move, in ``basis.moves`` order, that gets
-one step closer gives the first shortest walk in that order.  Truncation
-is guarded empirically: a value is only accepted when growing the radius
-by one does not improve it.
+one step closer gives the first shortest walk in that order.
+
+Truncation is guarded by a level bound.  A move changes a class
+coordinate by at most r, the largest |delta_i| of ``basis.moves``, so the
+k-th state of a walk from the box centre lies within k * r of it.  Say
+every search of a table labels its targets by level L.  A larger
+truncation could only beat one of those distances with a walk shorter
+than L, whose inner states lie within (L - 2) * r of the centre.  When
+(L - 2) * r <= h that walk fits the box and was found already, so every
+larger truncation gives the same table, and it is accepted as it is.
+Otherwise the tables are built again at h + 1, a value is only accepted
+when that does not change it, and the truncation doubles while it does.
 
 This module never consults the Eulerian maximization; the two sides meet
 only in ``verify_min_equals_max``.
@@ -23,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import index
 from typing import Callable, Sequence
 
 from .errors import BoxExceeded, InternalError, ResourceLimit, UnstableTruncation
@@ -84,6 +94,12 @@ def _cover_moves(
     return by_face
 
 
+def _reach(moves: dict) -> int:
+    """r: the largest step |delta_i| of any move of a ``_cover_moves`` table."""
+    return max((abs(d) for face_moves in moves.values() for _, steps in face_moves
+                for _, d in steps), default=0)
+
+
 def _lift(h: int, face: int, c: Coords) -> int:
     """Flat index of the cover state (face, c) at truncation h."""
     side = 2 * h + 1
@@ -101,7 +117,10 @@ def _distances(
     is a ``_cover_moves`` table, shared across starts.  With ``targets``
     (flat state indices) the search stops after the first level that leaves
     every target labelled: those distances are final, and states the search
-    has not reached yet stay -1.  Without it the whole box is swept.
+    has not reached yet stay -1.  Without it the whole box is swept.  With
+    the start o steps from the box centre (o = max |c_i|), a state of level
+    L lies within o + L * r of it (r as in ``_reach``), so the box test is
+    skipped on every level with o + L * r <= h.
     """
     import numpy as np
 
@@ -109,22 +128,29 @@ def _distances(
     box = side**basis.rank
     dist = np.full(_cover_states(wmap, basis, h), -1, dtype=np.int32)
     dist[start] = 0
+    reach = _reach(moves)
+    offset = max((abs(start % box // side**i % side - h) for i in range(basis.rank)), default=0)
     frontier = np.array([start], dtype=np.int64)
     level = 0
     while frontier.size:
         level += 1
+        inside = offset + level * reach <= h  # no move of this level leaves the box
         faces = frontier // box
         parts = []
         for f_from, face_moves in moves.items():
             at = frontier[faces == f_from]
             if not at.size:
                 continue
-            digits = [(at // side**i) % side for i in range(basis.rank)]
+            if not inside:
+                digits = [(at // side**i) % side for i in range(basis.rank)]
             for flat, steps in face_moves:
-                keep = True  # stays in the box: 0 <= digit + d < side
-                for i, d in steps:
-                    keep = keep & (digits[i] >= -d if d < 0 else digits[i] < side - d)
-                sel = (at[keep] if steps else at) + flat
+                sel = at
+                if steps and not inside:
+                    keep = True  # stays in the box: 0 <= digit + d < side
+                    for i, d in steps:
+                        keep = keep & (digits[i] >= -d if d < 0 else digits[i] < side - d)
+                    sel = at[keep]
+                sel = sel + flat
                 sel = sel[dist[sel] < 0]
                 dist[sel] = level
                 parts.append(sel)
@@ -140,27 +166,33 @@ def _box_classes(rank: int, radius: int) -> list[Coords]:
 
 def _single_cycle_table(
     wmap: WallSystemMap, basis: HomologyBasis, radius: int, h: int
-) -> dict[Coords, tuple[float, int]]:
+) -> tuple[dict[Coords, tuple[float, int]], bool]:
     """Per class in the radius box: (min closed-walk length, base face), inf if none.
 
     The BFS from base face f0 stops once it has labelled every lift (f0, c)
     of the radius box, long before a small radius sweeps the truncation box.
+    Also returns whether the table is settled: every search labelled all its
+    lifts by a level L with (L - 2) * r <= h (r as in ``_reach``), so every
+    larger truncation gives this same table (see the module docstring).
     """
     import numpy as np
 
     _cover_states(wmap, basis, h)  # an over-budget box is refused before its tables are built
     box = (2 * h + 1) ** basis.rank
     moves = _cover_moves([m[:3] for m in basis.moves], h)
+    reach = _reach(moves)
     table = {c: (math.inf, -1) for c in _box_classes(basis.rank, radius)}
     lifts = np.array([_lift(h, 0, c) for c in table])
+    settled = True
     for f0 in range(len(wmap.faces)):
         targets = f0 * box + lifts
         start = f0 * box + box // 2  # the zero class is the centre of the box
-        dist = _distances(wmap, basis, h, start, moves, targets)[targets]
-        for (c, (best, _)), d in zip(table.items(), dist.tolist()):
+        dist = _distances(wmap, basis, h, start, moves, targets)[targets].tolist()
+        settled = settled and min(dist) >= 0 and (max(dist) - 2) * reach <= h
+        for (c, (best, _)), d in zip(table.items(), dist):
             if 0 <= d < best:
                 table[c] = (d, f0)
-    return table
+    return table, settled
 
 
 def _dp_tables(single: dict[Coords, tuple[float, int]], radius: int):
@@ -257,6 +289,7 @@ def min_single_cycle(
     MAX_COVER_STATES.
     """
     a = _class_coords(a, basis.rank)
+    h = _radius(h, "truncation")
     if h < max((abs(x) for x in a), default=0):
         raise ValueError("truncation radius is smaller than the class itself")
     best: Walk | None = None
@@ -267,6 +300,17 @@ def min_single_cycle(
     if best is None:
         raise BoxExceeded(f"no closed walk of class {a} inside the box of radius {h}")
     return len(best), best
+
+
+def _radius(value: int, name: str) -> int:
+    """A radius read with ``operator.index``; ValueError if it is no integer or negative."""
+    try:
+        r = index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if r < 0:
+        raise ValueError(f"{name} must not be negative, not {r}")
+    return r
 
 
 def default_truncation(basis: HomologyBasis, radius: int) -> int:
@@ -282,14 +326,15 @@ def min_multicurve(
 ) -> tuple[int, MultiCurveCertificate]:
     """Minimum total length over multi-curves (sums of closed walks) in class a.
 
-    Values are accepted only when growing the truncation by one does not
-    improve them; the radius doubles on failure up to a cap, after which
-    BoxExceeded (nothing found) or UnstableTruncation (still improving) is
-    raised.
+    Values are accepted as ``_stable_tables`` accepts them; the truncation
+    doubles while they are not, up to a cap, after which BoxExceeded
+    (nothing found) or UnstableTruncation (still improving) is raised.
     """
     a = _class_coords(a, basis.rank)
+    if max_truncation is not None:
+        max_truncation = _radius(max_truncation, "max_truncation")
     radius = max(1, max(abs(x) for x in a)) if any(a) else 1
-    trunc = h if h is not None else default_truncation(basis, radius)
+    trunc = _radius(h, "truncation") if h is not None else default_truncation(basis, radius)
     if trunc < radius:
         raise ValueError("truncation radius is smaller than the class box")
     trunc, single, m, choice = _stable_tables(
@@ -307,17 +352,22 @@ def _stable_tables(
 ):
     """The tables at the first truncation where growing it by one changes nothing.
 
-    The truncation doubles while some watched class is unrepresented or
-    still improving; beyond the cap (default eight times the start),
+    A settled single-cycle table (see ``_single_cycle_table``) is the same
+    at every larger truncation, so it is accepted without building the
+    tables at h + 1.  Otherwise they are built and compared, and the
+    truncation doubles while some watched class is unrepresented or still
+    improving; beyond the cap (default eight times the start),
     BoxExceeded or UnstableTruncation is raised with the message ``empty``
     or ``improving`` makes of the offending classes and the truncation.
     Returns (truncation, single-cycle table, minima, decomposition choices).
     """
     cap = max_truncation if max_truncation is not None else 8 * trunc
     while True:
-        single = _single_cycle_table(wmap, basis, radius, trunc)
+        single, settled = _single_cycle_table(wmap, basis, radius, trunc)
         m, choice = _dp_tables(single, radius)
-        single1 = _single_cycle_table(wmap, basis, radius, trunc + 1)
+        if settled:
+            return trunc, single, m, choice
+        single1, _ = _single_cycle_table(wmap, basis, radius, trunc + 1)
         m1, _ = _dp_tables(single1, radius)
         unreachable = [c for c in watched if math.isinf(m[c]) or math.isinf(m1[c])]
         unstable = [c for c in watched if m[c] != m1[c]]
@@ -371,7 +421,7 @@ def verify_min_equals_max(wmap: WallSystemMap, basis: HomologyBasis, box_radius:
     Both sides are computed independently for every integer class with
     coordinates bounded by box_radius; any disagreement is reported.
     """
-    radius = int(box_radius)
+    radius = _radius(box_radius, "box radius")
     trunc = default_truncation(basis, radius)
     _cover_states(wmap, basis, trunc)  # before the watched box is listed
     trunc, _, m, _ = _stable_tables(

@@ -4,7 +4,10 @@ They are the plain forms of computations the package does faster, kept
 only to check that the faster form gives identical results;
 ``plain_potential``, for one, is the highest potential by F full
 Bellman-Ford rounds with each move priced on its own, which the
-early-stopping, edge-priced ``eikonal.highest_potential`` is held to.
+early-stopping, edge-priced ``eikonal.highest_potential`` is held to, and
+``stable_tables`` is the cover oracle's truncation loop that builds the
+tables at h + 1 every time, which the level bound of
+``oracle._stable_tables`` is held to.
 Two of them compute the package's answers another way:
 
 * ``solve_lp``, a textbook two-phase tableau simplex with Bland's rule
@@ -25,10 +28,12 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import inf
 from typing import Iterator, Sequence
 
+from wallnorm import oracle
 from wallnorm.coorient import Coorientation
-from wallnorm.errors import InternalError
+from wallnorm.errors import BoxExceeded, InternalError, UnstableTruncation
 from wallnorm.homology import Coords, HomologyBasis
 from wallnorm.surface_map import Walk, WallSystemMap
 
@@ -67,6 +72,31 @@ def dp_tables(single, radius):
                     choice[c] = (c1, c2)
                     changed = True
     return m, choice
+
+
+def stable_tables(wmap, basis, radius, trunc, max_truncation, watched, empty, improving):
+    """The truncation loop that always builds the tables at h + 1 as well.
+
+    ``oracle._stable_tables`` accepts a settled table without that second
+    search; it must return the same (truncation, single-cycle table, minima,
+    choices) and raise the same errors with the same messages.  The tables
+    and the DP are the package's own, each held to a reference of its own.
+    """
+    cap = max_truncation if max_truncation is not None else 8 * trunc
+    while True:
+        single, _ = oracle._single_cycle_table(wmap, basis, radius, trunc)
+        m, choice = oracle._dp_tables(single, radius)
+        single1, _ = oracle._single_cycle_table(wmap, basis, radius, trunc + 1)
+        m1, _ = oracle._dp_tables(single1, radius)
+        unreachable = [c for c in watched if m[c] == inf or m1[c] == inf]
+        unstable = [c for c in watched if m[c] != m1[c]]
+        if not unreachable and not unstable:
+            return trunc, single, m, choice
+        if 2 * trunc > cap:
+            if unreachable:
+                raise BoxExceeded(empty(unreachable, trunc))
+            raise UnstableTruncation(improving(unstable, trunc + 1))
+        trunc *= 2
 
 
 def bfs_walk(

@@ -1,3 +1,4 @@
+import io
 import math
 import operator
 import os
@@ -5,8 +6,9 @@ import random
 import subprocess
 import sys
 import textwrap
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from wallnorm import (
     set_user_basis,
     verify_min_equals_max,
 )
-from wallnorm import fixtures, oracle
-from wallnorm.errors import BoxExceeded, ResourceLimit
+from wallnorm import cli, fixtures, oracle
+from wallnorm.errors import BoxExceeded, ResourceLimit, UnstableTruncation
 from wallnorm.fixtures import grid_basis, grid_map, random_wall_system
 from wallnorm.surface_map import concat_closed_walks
 
@@ -175,7 +177,7 @@ def test_dp_tables_match_the_reference_on_fixture_tables(g22, b22, genus2, genus
     wmap = _random_map(5, 3, 3)
     cases.append((wmap, homology_basis(wmap), 1, 2))
     for wmap, basis, radius, h in cases:
-        single = oracle._single_cycle_table(wmap, basis, radius, h)
+        single, _ = oracle._single_cycle_table(wmap, basis, radius, h)
         assert oracle._dp_tables(single, radius) == reference.dp_tables(single, radius)
 
 
@@ -224,18 +226,148 @@ def test_box_exceeded_at_cap(g11):
 
 
 def test_unstable_truncation_error_path(g22, b22, monkeypatch):
-    # fabricate values that keep improving as the truncation grows, to drive
-    # the control flow into the instability escape hatch
-    from wallnorm import oracle as oracle_module
-    from wallnorm.errors import UnstableTruncation
+    # fabricate values that keep improving as the truncation grows, and that
+    # are never settled, to drive the doubling into the instability escape hatch
+    built = []
 
     def fake_table(wmap, basis, radius, trunc):
-        classes = oracle_module._box_classes(basis.rank, radius)
-        return {c: (100 - trunc, 0) for c in classes}
+        built.append(trunc)
+        classes = oracle._box_classes(basis.rank, radius)
+        return {c: (100 - trunc, 0) for c in classes}, False
 
-    monkeypatch.setattr(oracle_module, "_single_cycle_table", fake_table)
-    with pytest.raises(UnstableTruncation):
+    monkeypatch.setattr(oracle, "_single_cycle_table", fake_table)
+    with pytest.raises(UnstableTruncation,
+                       match=r"value for \(1, 0\) still improving at truncation 9"):
         min_multicurve(g22, b22, (1, 0), h=4, max_truncation=8)
+    assert built == [4, 5, 8, 9]
+    # the loop that always searches h + 1 fails the same way
+    args = (g22, b22, 1, 4, 8, [(1, 0)], None, lambda cs, t: f"{cs} still improving at {t}")
+    assert _outcome(oracle._stable_tables, *args) == _outcome(reference.stable_tables, *args) == \
+        (UnstableTruncation, "[(1, 0)] still improving at 9")
+
+
+def test_radii_must_be_nonnegative_integers(g22, b22):
+    # int() would read a box of 1.7 as 1, and numpy failed on -1 and 2.5
+    for bad, why in ((1.7, r"be an integer, not 1\.7"), (-1, "not be negative, not -1")):
+        with pytest.raises(ValueError, match="box radius must " + why):
+            verify_min_equals_max(g22, b22, bad)
+    for bad, why in ((2.5, r"be an integer, not 2\.5"), (-1, "not be negative, not -1")):
+        with pytest.raises(ValueError, match="truncation must " + why):
+            min_multicurve(g22, b22, (1, 0), h=bad)
+        with pytest.raises(ValueError, match="truncation must " + why):
+            min_single_cycle(g22, b22, (1, 0), bad)
+        with pytest.raises(ValueError, match="max_truncation must " + why):
+            min_multicurve(g22, b22, (1, 0), max_truncation=bad)
+    # any integer type is read as the integer it is
+    assert verify_min_equals_max(g22, b22, np.int64(1)) == verify_min_equals_max(g22, b22, 1)
+    assert min_multicurve(g22, b22, (1, 0), h=np.int64(5), max_truncation=np.int8(9)) == \
+        min_multicurve(g22, b22, (1, 0), h=5, max_truncation=9)
+    assert min_single_cycle(g22, b22, (1, 1), np.int64(5)) == min_single_cycle(g22, b22, (1, 1), 5)
+
+
+def _count_tables(monkeypatch):
+    """The truncations of every single-cycle table built from now on."""
+    built = []
+    table = oracle._single_cycle_table
+    monkeypatch.setattr(oracle, "_single_cycle_table",
+                        lambda *args: built.append(args[3]) or table(*args))
+    return built
+
+
+def test_a_settled_table_is_built_once(genus2, tmp_path, monkeypatch):
+    # r = 1, and the genus-2 example's search stops at level L = 4, so
+    # (L - 2) * r = 2 <= 7: every larger truncation gives the same tables,
+    # and truncation 8 is not searched
+    built = _count_tables(monkeypatch)
+    wall = tmp_path / "genus2.wall"
+    wall.write_text(genus2.canonical_text)
+    out = io.StringIO()
+    assert cli.main(["verify", str(wall), "--box", "1"], out=out) == 0
+    assert "checked 81 classes in box 1 (truncation 7)" in out.getvalue()
+    assert built == [7]
+    wmap = _random_map(5, 2, 1)
+    basis = homology_basis(wmap)
+    built.clear()
+    assert min_multicurve(wmap, basis, (1, 1, 1, 1))[0] == 5
+    assert built == [7]
+
+
+def test_the_settle_bound_is_tight():
+    # one face, moves +-(2, 1), +-(2, 0), +-(1, 1), so r = 2.  At truncation
+    # 1 the radius-1 box is labelled by level L = 3 and (L - 2) * r = 2 > 1:
+    # truncation 2 does shorten (0, 1) = (2, 1) - (2, 0) through (2, 1)
+    wmap = SimpleNamespace(faces=[0])
+    moves = [(0, 0, (s * x, s * y), None) for x, y in ((2, 1), (2, 0), (1, 1)) for s in (1, -1)]
+    basis = SimpleNamespace(rank=2, moves=moves)
+    one, settled = oracle._single_cycle_table(wmap, basis, 1, 1)
+    assert (one[(0, 1)], settled) == ((3, 0), False)
+    two, settled = oracle._single_cycle_table(wmap, basis, 1, 2)
+    assert (two[(0, 1)], settled) == ((2, 0), True)  # L = 2
+    assert all(oracle._single_cycle_table(wmap, basis, 1, h) == (two, True) for h in (3, 4, 7))
+    args = (wmap, basis, 1, 1, None, oracle._box_classes(2, 1), None, None)
+    assert oracle._stable_tables(*args)[:2] == reference.stable_tables(*args)[:2] == (2, two)
+
+
+def test_a_settled_table_needs_no_budget_at_the_next_truncation(genus2, genus2_basis, monkeypatch):
+    # truncation 7 of the one-face genus-2 example is 15**4 = 50 625 states;
+    # truncation 8 (83 521) would be over this budget, and is not needed
+    monkeypatch.setattr(oracle, "MAX_COVER_STATES", 50_625)
+    report = verify_min_equals_max(genus2, genus2_basis, 1)
+    assert (report.ok, report.truncation, report.checked) == (True, 7, 81)
+    monkeypatch.setattr(oracle, "MAX_COVER_STATES", 50_624)
+    with pytest.raises(ResourceLimit, match="truncation 7 needs 50625 states"):
+        verify_min_equals_max(genus2, genus2_basis, 1)
+
+
+def _outcome(stable_tables, *args):
+    try:
+        return stable_tables(*args)
+    except (BoxExceeded, UnstableTruncation, ResourceLimit) as error:
+        return type(error), str(error)
+
+
+def test_stable_tables_match_the_reference(g11, b11, g22, b22, genus2, genus2_basis, one_curve,
+                                           monkeypatch):
+    # reference.stable_tables builds the tables at h + 1 every time; the
+    # level bound skips them only where they cannot differ
+    four = fixtures.four_geodesic_example()
+    w1, w2 = homology_basis(g22).cycles
+    skew = set_user_basis(g22, (concat_closed_walks(g22.dual_graph, w1, w2, w2), w2))
+    v1, v2 = homology_basis(g11).cycles
+    skew11 = set_user_basis(g11, (concat_closed_walks(g11.dual_graph, v1, v1, v1, v2, v2),
+                                  concat_closed_walks(g11.dual_graph, v1, v2)))
+    cases = [(g11, b11), (g22, b22), (g22, skew), (g11, skew11), (four, homology_basis(four)),
+             (one_curve, homology_basis(one_curve)), (genus2, genus2_basis)]
+    maps = (random_wall_system(3 + seed % 4, random.Random(seed)) for seed in range(10**4))
+    seeded = list(islice((m for m in maps if m.genus in (2, 3)), 24))
+    assert sum(m.genus == 3 for m in seeded) >= 3
+    # three genus-2 maps the bound does not settle at the default truncation
+    seeded += [random_wall_system(3 + seed % 6, random.Random(seed)) for seed in (123, 129, 188)]
+    cases += [(m, homology_basis(m)) for m in seeded]
+    built = _count_tables(monkeypatch)
+    seen = set()  # (genus, default truncation, h + 1 searched, outcome)
+    for wmap, basis in cases:
+        for radius in (1, 2) if basis.rank == 2 else (1,):
+            box = oracle._box_classes(basis.rank, radius)
+            default = oracle.default_truncation(basis, radius)
+            for trunc in (radius, radius + 1, default):
+                # verify's watched box, and one class with a cap at the start
+                for watched, cap in ((box, None), ([box[-1]], trunc)):
+                    args = (wmap, basis, radius, trunc, cap, watched,
+                            lambda cs, t: f"{cs} not represented at {t}",
+                            lambda cs, t: f"{cs} still improving at {t}")
+                    built.clear()
+                    got = _outcome(oracle._stable_tables, *args)
+                    outcome = got[0] if len(got) == 2 else "tables"
+                    seen.add((wmap.genus, trunc == default, len(built) > 1, outcome))
+                    assert got == _outcome(reference.stable_tables, *args)
+    # the default truncation settles with one table at genus 1 and 2; the
+    # bound fails at small truncations, on the skewed bases, on some seeded
+    # genus-2 maps at the default truncation, and at genus 3
+    assert {(1, True, False, "tables"), (2, True, False, "tables"), (2, True, True, "tables"),
+            (2, False, True, "tables"), (3, False, True, "tables")} <= seen
+    assert (1, False, True, BoxExceeded) in seen
+    assert (3, True, False, ResourceLimit) in seen  # truncation 9 is over the budget
 
 
 def test_cover_table_over_budget_is_refused(monkeypatch):
@@ -385,7 +517,7 @@ def test_cover_search_stops_early_and_exactly(g11, b11, g22, b22, genus2, genus2
         if basis.rank <= 4:
             truncations.append(oracle.default_truncation(basis, 1))
         for h in truncations:
-            assert oracle._single_cycle_table(wmap, basis, 1, h) == \
+            assert oracle._single_cycle_table(wmap, basis, 1, h)[0] == \
                 _full_sweep_table(wmap, basis, 1, h)
     # verify --box 1 on genus2 (one face) reads the 81 classes at truncation 7:
     # all are labelled by level 4, far short of the 50 625 states of the box
