@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalError, MalformedInput, NotBipartite, NotEulerian, ResourceLimit
 from .homology import Coords, HomologyBasis, _check_basis_map, homology_basis
-from .surface_map import Crossing, WallSystemMap
+from .surface_map import _SIGN, Crossing, WallSystemMap, _in_order, _indexed, _record_text, _records
 
 ENUM_CAP_ENV = "WALLNORM_MAX_ENUM"
 DEFAULT_ENUM_CAP = 1_000_000
@@ -59,33 +59,18 @@ class Coorientation:
         return Coorientation(tuple(-s for s in self.signs))
 
     def to_text(self) -> str:
-        lines = [f"edge {j}: {'+' if s > 0 else '-'}" for j, s in enumerate(self.signs)]
-        return "\n".join(lines) + "\n"
+        return _record_text("edge", (("+" if s > 0 else "-",) for s in self.signs))
 
     @classmethod
     def from_text(cls, text: str, edge_count: int) -> "Coorientation":
+        """Read records ``edge <j>: <+|->``, one per edge (grammar in ``surface_map``)."""
         signs: dict[int, int] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            head, _, rest = line.partition(" ")
-            if head != "edge" or ":" not in rest:
-                raise MalformedInput(f"line {lineno}: expected 'edge <j>: +|-'")
-            index_part, _, sign_part = rest.partition(":")
-            try:
-                index = int(index_part)
-            except ValueError:
-                raise MalformedInput(f"line {lineno}: bad edge index {index_part!r}") from None
-            sign_token = sign_part.strip()
-            if sign_token not in ("+", "-"):
+        for lineno, keyword, rest in _records(text, ("edge",)):
+            j, sign = _indexed(lineno, keyword, rest, signs)
+            if sign.strip() not in _SIGN:
                 raise MalformedInput(f"line {lineno}: sign must be '+' or '-'")
-            if index in signs:
-                raise MalformedInput(f"line {lineno}: repeated edge {index}")
-            signs[index] = 1 if sign_token == "+" else -1
-        if sorted(signs) != list(range(edge_count)):
-            raise MalformedInput(f"coorientation must list edges 0..{edge_count - 1}")
-        return cls(tuple(signs[j] for j in range(edge_count)))
+            signs[j] = _SIGN[sign.strip()]
+        return cls(tuple(_in_order(signs, edge_count, "edge")))
 
 
 def _vertex_terms(wmap: WallSystemMap, coor: Coorientation, v: int) -> list[int]:

@@ -39,10 +39,10 @@ from operator import mul
 from typing import Sequence
 
 from .coorient import (
-    Coorientation, _parent_cycle, class_of, classes_of, is_eulerian, iter_eulerian,
+    Coorientation, _parent_cycle, classes_of, is_eulerian, iter_eulerian,
 )
 from .errors import InternalError, NotRealizable
-from .homology import Coords, HomologyBasis, _class_coords, gamma_parity
+from .homology import Coords, HomologyBasis, _class_coords, _walk_weight, gamma_parity
 from .simplex import affine_dimension
 from .surface_map import Crossing, Walk, WallSystemMap
 
@@ -226,7 +226,8 @@ def realize(
     if any(abs(s) != 1 for s in potential.steps):
         raise InternalError(f"the highest extension of {n} is not eikonal")
     candidate = Coorientation(potential.steps)
-    if not is_eulerian(wmap, candidate) or class_of(wmap, candidate, basis) != n:
+    walked = tuple(_walk_weight(candidate.signs, b) for b in basis.cycles)
+    if not is_eulerian(wmap, candidate) or walked != n:
         raise InternalError(f"the highest extension of {n} does not realize it")
     return RealizationResult(candidate, n, "eikonal")
 

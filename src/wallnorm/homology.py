@@ -24,6 +24,7 @@ from typing import Sequence
 from .errors import InternalError, MalformedInput, NotABasis, TorsionDetected
 from .snf import smith_normal_form, unimodular_inverse
 from .surface_map import Crossing, DualGraph, Walk, WallSystemMap, reverse_walk
+from .surface_map import _SIGN, _in_order, _indexed, _record_text, _records
 
 Coords = tuple[int, ...]
 
@@ -298,43 +299,20 @@ def set_user_basis(wmap: WallSystemMap, walks: Sequence[Sequence[Crossing]]) -> 
 
 
 def parse_basis_file(text: str) -> list[Walk]:
-    """Parse a basis file: lines ``cycle <i>: <link><+|-> ...``."""
+    """Parse a basis file: records ``cycle <i>: <link><+|-> ...`` (grammar in ``surface_map``)."""
     cycles: dict[int, Walk] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        if head != "cycle" or ":" not in rest:
-            raise MalformedInput(f"line {lineno}: expected 'cycle <i>: ...'")
-        index_part, _, tokens = rest.partition(":")
+    for lineno, keyword, rest in _records(text, ("cycle",)):
+        i, fields = _indexed(lineno, keyword, rest, cycles)
         try:
-            index = int(index_part)
-        except ValueError:
-            raise MalformedInput(f"line {lineno}: bad cycle index {index_part!r}") from None
-        crossings = []
-        for token in tokens.split():
-            if token[-1] not in "+-":
-                raise MalformedInput(f"line {lineno}: crossing {token!r} must end in + or -")
-            try:
-                edge = int(token[:-1])
-            except ValueError:
-                raise MalformedInput(f"line {lineno}: bad link id in {token!r}") from None
-            crossings.append((edge, 1 if token[-1] == "+" else -1))
-        if index in cycles:
-            raise MalformedInput(f"line {lineno}: repeated cycle {index}")
-        cycles[index] = tuple(crossings)
-    if sorted(cycles) != list(range(len(cycles))):
-        raise MalformedInput("cycle indices must be 0..rank-1")
-    return [cycles[i] for i in range(len(cycles))]
+            cycles[i] = tuple((int(t[:-1]), _SIGN[t[-1]]) for t in fields.split())
+        except (KeyError, ValueError):
+            raise MalformedInput(f"line {lineno}: crossings must read <link>+ or <link>-, "
+                                 f"got {fields.strip()!r}") from None
+    return _in_order(cycles, len(cycles), "cycle")
 
 
 def format_basis_file(walks: Sequence[Walk]) -> str:
-    lines = []
-    for i, walk in enumerate(walks):
-        tokens = " ".join(f"{e}{'+' if d > 0 else '-'}" for e, d in walk)
-        lines.append(f"cycle {i}: {tokens}")
-    return "\n".join(lines) + "\n"
+    return _record_text("cycle", ([f"{e}{'+' if d > 0 else '-'}" for e, d in w] for w in walks))
 
 
 def basis_from_file(wmap: WallSystemMap, text: str) -> HomologyBasis:

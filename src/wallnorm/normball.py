@@ -33,10 +33,11 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .coorient import class_of, eulerian_class_counts, is_eulerian, support_coorientation
+from .coorient import eulerian_class_counts, is_eulerian, support_coorientation
 from .eikonal import highest_potential
 from .errors import DegenerateBall, InternalError
-from .homology import Coords, HomologyBasis, _check_basis_map, _class_coords, gamma_parity
+from .homology import Coords, HomologyBasis, gamma_parity
+from .homology import _check_basis_map, _class_coords, _walk_weight
 from .simplex import affine_dimension
 from .surface_map import WallSystemMap
 
@@ -155,7 +156,8 @@ def _ccw_compare(p: Coords, q: Coords) -> int:
 def _support_point(wmap: WallSystemMap, basis: HomologyBasis, cost: Sequence[int]) -> Coords:
     """A class maximizing the pairing with an integer cost, its coorientation re-checked."""
     coor, cls = support_coorientation(wmap, basis, cost)
-    if not is_eulerian(wmap, coor) or class_of(wmap, coor, basis) != cls:
+    walked = tuple(_walk_weight(coor.signs, b) for b in basis.cycles)
+    if not is_eulerian(wmap, coor) or walked != cls:
         raise InternalError(f"the support coorientation for {cost} does not carry its class")
     return cls
 

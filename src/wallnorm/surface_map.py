@@ -18,6 +18,15 @@ Conventions fixed here and used by every other module:
   downstream (coorientations, cocycle weights) refer to that direction.
 
 Maps are immutable after construction and safe to share between threads.
+
+Wall, basis and coorientation files share one record grammar, read here.
+Text after ``#`` and blank lines are ignored; every other line is a
+record ``<keyword> <index>: <fields>``, apart from the wall file's
+``vertices <V>`` header.  Each index appears once, the indices of a
+keyword are exactly ``0..n-1``, and integers are ASCII decimal with an
+optional sign (a record line with a non-ASCII character or ``_`` is
+refused).  Wall-file records: ``vertex <i>: <d0> <d1> <d2> <d3>`` and
+``edge <j>: <dTail> <dHead>``.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from operator import index
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BadDegree, BadEuler, DartMultiplicity, MalformedInput, OpenWalk
 
@@ -33,6 +43,8 @@ from .errors import BadDegree, BadEuler, DartMultiplicity, MalformedInput, OpenW
 # (edge id, -1) the other way.  A walk is a chained sequence of crossings.
 Crossing = tuple[int, int]
 Walk = tuple[Crossing, ...]
+# The file token of a crossing direction or a coorientation sign.
+_SIGN = {"+": 1, "-": -1}
 
 
 @dataclass(frozen=True)
@@ -183,11 +195,12 @@ class WallSystemMap:
         rotations: Iterable[Sequence[int]],
         edges: Iterable[Sequence[int]],
     ):
-        rotations = tuple(tuple(r) for r in rotations)
-        edges = tuple(tuple(e) for e in edges)
-        self.vertex_count = int(vertex_count)
-        self.rotations = rotations
-        self.edges = edges
+        try:
+            self.vertex_count = index(vertex_count)
+            self.rotations = tuple(tuple(map(index, r)) for r in rotations)
+            self.edges = tuple(tuple(map(index, e)) for e in edges)
+        except TypeError:
+            raise MalformedInput("the vertex count and every dart id must be integers") from None
         self._validate()
 
     # -- validation -------------------------------------------------------
@@ -198,32 +211,16 @@ class WallSystemMap:
             raise MalformedInput("a wall system needs at least one vertex (V >= 1)")
         if len(self.rotations) != v:
             raise MalformedInput(f"expected {v} vertex rotations, got {len(self.rotations)}")
-        n = 4 * v
         for i, rot in enumerate(self.rotations):
             if len(rot) != 4:
                 raise BadDegree(f"vertex {i} lists {len(rot)} darts; every vertex has degree 4")
-        seen = [0] * n
-        for rot in self.rotations:
-            for d in rot:
-                if not isinstance(d, int) or not 0 <= d < n:
-                    raise MalformedInput(f"dart id {d!r} out of range [0, {n})")
-                seen[d] += 1
-        bad = [d for d, c in enumerate(seen) if c != 1]
-        if bad:
-            raise DartMultiplicity(f"rotations do not use each dart exactly once (darts {bad})")
+        self._each_dart_once(self.rotations, "rotations")
         if len(self.edges) != 2 * v:
             raise MalformedInput(f"expected E = 2V = {2 * v} edges, got {len(self.edges)}")
-        seen = [0] * n
         for j, pair in enumerate(self.edges):
             if len(pair) != 2:
                 raise MalformedInput(f"edge {j} must pair exactly two darts")
-            for d in pair:
-                if not isinstance(d, int) or not 0 <= d < n:
-                    raise MalformedInput(f"dart id {d!r} out of range [0, {n})")
-                seen[d] += 1
-        bad = [d for d, c in enumerate(seen) if c != 1]
-        if bad:
-            raise DartMultiplicity(f"edges do not use each dart exactly once (darts {bad})")
+        self._each_dart_once(self.edges, "edges")
         if not self._is_connected():
             raise MalformedInput("the map is not connected; it does not describe one surface")
         chi = self.euler_characteristic
@@ -231,6 +228,18 @@ class WallSystemMap:
             raise BadEuler(f"Euler characteristic {chi} is odd")
         if chi > 0:
             raise BadEuler(f"Euler characteristic {chi} > 0: genus-0 wall systems are not supported")
+
+    def _each_dart_once(self, groups: tuple[tuple[int, ...], ...], what: str) -> None:
+        n = 4 * self.vertex_count
+        seen = [0] * n
+        for group in groups:
+            for d in group:
+                if not 0 <= d < n:
+                    raise MalformedInput(f"dart id {d!r} out of range [0, {n})")
+                seen[d] += 1
+        bad = [d for d, c in enumerate(seen) if c != 1]
+        if bad:
+            raise DartMultiplicity(f"{what} do not use each dart exactly once (darts {bad})")
 
     def _is_connected(self) -> bool:
         n = 4 * self.vertex_count
@@ -395,12 +404,8 @@ class WallSystemMap:
 
     @cached_property
     def canonical_text(self) -> str:
-        lines = [f"vertices {self.vertex_count}"]
-        for i, rot in enumerate(self.rotations):
-            lines.append(f"vertex {i}: {rot[0]} {rot[1]} {rot[2]} {rot[3]}")
-        for j, (tail, head) in enumerate(self.edges):
-            lines.append(f"edge {j}: {tail} {head}")
-        return "\n".join(lines) + "\n"
+        return (f"vertices {self.vertex_count}\n" + _record_text("vertex", self.rotations)
+                + _record_text("edge", self.edges))
 
     @cached_property
     def digest(self) -> str:
@@ -427,68 +432,81 @@ class WallSystemMap:
         )
 
 
+def _record_text(keyword: str, rows: Iterable[Iterable[object]]) -> str:
+    """Records ``<keyword> <i>: <fields>``, one line per row, in row order."""
+    return "".join(f"{keyword} {i}: {' '.join(map(str, row))}\n" for i, row in enumerate(rows))
+
+
+def _records(text: str, keywords: tuple[str, ...]) -> Iterator[tuple[int, str, str]]:
+    """(line number, keyword, rest) of each record line, comments cut and blanks skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            if not line.isascii() or "_" in line:
+                raise MalformedInput(f"line {lineno}: non-ASCII character or '_' in {line!r}")
+            keyword, _, rest = line.partition(" ")
+            if keyword not in keywords:
+                raise MalformedInput(f"line {lineno}: unknown directive {keyword!r}")
+            yield lineno, keyword, rest
+
+
+def _ints(fields: str, lineno: int) -> list[int]:
+    tokens = fields.split()
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise MalformedInput(f"non-integer token in line {lineno}: {' '.join(tokens)!r}") from None
+
+
+def _one(part: str, lineno: int, what: str) -> int:
+    values = _ints(part, lineno)
+    if len(values) != 1:
+        raise MalformedInput(f"line {lineno}: expected one {what}, got {' '.join(part.split())!r}")
+    return values[0]
+
+
+def _indexed(lineno: int, keyword: str, rest: str, store: dict[int, object]) -> tuple[int, str]:
+    """The index of a ``<index>: <fields>`` record not yet in store, and its fields."""
+    index_part, colon, fields = rest.partition(":")
+    if not colon:
+        raise MalformedInput(f"line {lineno}: missing ':' in {keyword} line")
+    i = _one(index_part, lineno, f"{keyword} index")
+    if i in store:
+        raise MalformedInput(f"line {lineno}: repeated {keyword} {i}")
+    return i, fields
+
+
+def _in_order(store: dict[int, object], count: int, what: str) -> list:
+    """The stored values in index order, which must be exactly 0..count-1."""
+    # the counts first: a header alone must not make its count of indices
+    if len(store) != max(count, 0) or not all(i in store for i in range(count)):
+        raise MalformedInput(f"{what} indices must be exactly 0..{count - 1}")
+    return [store[i] for i in range(count)]
+
+
 def parse_wall_system(text: str) -> WallSystemMap:
-    """Parse the line-oriented wall-system format (see the module docstring).
-
-    Grammar, with '#' comments and blank lines ignored::
-
-        vertices <V>
-        vertex <i>: <d0> <d1> <d2> <d3>
-        edge <j>: <dTail> <dHead>
-    """
+    """Parse a wall file (grammar in the module docstring)."""
     vertex_count = None
     rotations: dict[int, tuple[int, ...]] = {}
     edges: dict[int, tuple[int, ...]] = {}
-
-    def ints(tokens: list[str], where: str) -> list[int]:
-        try:
-            return [int(t) for t in tokens]
-        except ValueError:
-            raise MalformedInput(f"non-integer token in {where}: {' '.join(tokens)!r}") from None
-
-    def one(tokens: list[str], lineno: int, what: str) -> int:
-        values = ints(tokens, f"line {lineno}")
-        if len(values) != 1:
-            raise MalformedInput(f"line {lineno}: expected one {what}, got {' '.join(tokens)!r}")
-        return values[0]
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
+    for lineno, head, rest in _records(text, ("vertices", "vertex", "edge")):
         if head == "vertices":
             if vertex_count is not None:
                 raise MalformedInput(f"line {lineno}: repeated 'vertices' line")
-            vertex_count = one(rest.split(), lineno, "vertex count")
-        elif head in ("vertex", "edge"):
-            if ":" not in rest:
-                raise MalformedInput(f"line {lineno}: missing ':' in {head} line")
-            index_part, _, darts_part = rest.partition(":")
-            index = one(index_part.split(), lineno, f"{head} index")
-            darts = ints(darts_part.split(), f"line {lineno}")
-            store = rotations if head == "vertex" else edges
-            if index in store:
-                raise MalformedInput(f"line {lineno}: repeated {head} {index}")
-            if head == "vertex" and len(darts) != 4:
-                raise BadDegree(f"line {lineno}: vertex {index} lists {len(darts)} darts")
-            if head == "edge" and len(darts) != 2:
-                raise MalformedInput(f"line {lineno}: edge {index} must list two darts")
-            store[index] = tuple(darts)
-        else:
-            raise MalformedInput(f"line {lineno}: unknown directive {head!r}")
-
+            vertex_count = _one(rest, lineno, "vertex count")
+            continue
+        store = rotations if head == "vertex" else edges
+        i, fields = _indexed(lineno, head, rest, store)
+        darts = tuple(_ints(fields, lineno))
+        if head == "vertex" and len(darts) != 4:
+            raise BadDegree(f"line {lineno}: vertex {i} lists {len(darts)} darts")
+        if head == "edge" and len(darts) != 2:
+            raise MalformedInput(f"line {lineno}: edge {i} must list two darts")
+        store[i] = darts
     if vertex_count is None:
         raise MalformedInput("missing 'vertices <V>' line")
-    # the counts first: a header alone must not make V indices
-    vertex_ids, edge_ids = range(vertex_count), range(2 * vertex_count)
-    if len(rotations) != len(vertex_ids) or sorted(rotations) != list(vertex_ids):
-        raise MalformedInput(f"vertex indices must be exactly 0..{vertex_count - 1}")
-    if len(edges) != len(edge_ids) or sorted(edges) != list(edge_ids):
-        raise MalformedInput(f"edge indices must be exactly 0..{2 * vertex_count - 1}")
-
     return WallSystemMap(
         vertex_count,
-        [rotations[i] for i in range(vertex_count)],
-        [edges[j] for j in range(2 * vertex_count)],
+        _in_order(rotations, vertex_count, "vertex"),
+        _in_order(edges, 2 * vertex_count, "edge"),
     )

@@ -8,6 +8,10 @@ early-stopping, edge-priced ``eikonal.highest_potential`` is held to, and
 ``stable_tables`` is the cover oracle's truncation loop that builds the
 tables at h + 1 every time, which the level bound of
 ``oracle._stable_tables`` is held to.
+``parse_wall_system``, ``parse_basis_file`` and ``coorientation_from_text``
+are the three file parsers as each read the shared record grammar on its
+own, with ``int``; the one record reader in ``surface_map`` is held to
+them.
 Two of them compute the package's answers another way:
 
 * ``solve_lp``, a textbook two-phase tableau simplex with Bland's rule
@@ -33,7 +37,9 @@ from typing import Iterator, Sequence
 
 from wallnorm import oracle
 from wallnorm.coorient import Coorientation
-from wallnorm.errors import BoxExceeded, InternalError, UnstableTruncation
+from wallnorm.errors import (
+    BadDegree, BoxExceeded, InternalError, MalformedInput, UnstableTruncation,
+)
 from wallnorm.homology import Coords, HomologyBasis
 from wallnorm.surface_map import Walk, WallSystemMap
 
@@ -447,3 +453,121 @@ def read_coorientation(field: EikonalField, safe_radius: int) -> Coorientation |
             return None
         signs.append(step)
     return Coorientation(tuple(signs))
+
+
+def parse_wall_system(text: str) -> WallSystemMap:
+    """The wall-file parser that read the record grammar itself."""
+    vertex_count = None
+    rotations: dict[int, tuple[int, ...]] = {}
+    edges: dict[int, tuple[int, ...]] = {}
+
+    def ints(tokens: list[str], where: str) -> list[int]:
+        try:
+            return [int(t) for t in tokens]
+        except ValueError:
+            raise MalformedInput(f"non-integer token in {where}: {' '.join(tokens)!r}") from None
+
+    def one(tokens: list[str], lineno: int, what: str) -> int:
+        values = ints(tokens, f"line {lineno}")
+        if len(values) != 1:
+            raise MalformedInput(f"line {lineno}: expected one {what}, got {' '.join(tokens)!r}")
+        return values[0]
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, _, rest = line.partition(" ")
+        if head == "vertices":
+            if vertex_count is not None:
+                raise MalformedInput(f"line {lineno}: repeated 'vertices' line")
+            vertex_count = one(rest.split(), lineno, "vertex count")
+        elif head in ("vertex", "edge"):
+            if ":" not in rest:
+                raise MalformedInput(f"line {lineno}: missing ':' in {head} line")
+            index_part, _, darts_part = rest.partition(":")
+            index = one(index_part.split(), lineno, f"{head} index")
+            darts = ints(darts_part.split(), f"line {lineno}")
+            store = rotations if head == "vertex" else edges
+            if index in store:
+                raise MalformedInput(f"line {lineno}: repeated {head} {index}")
+            if head == "vertex" and len(darts) != 4:
+                raise BadDegree(f"line {lineno}: vertex {index} lists {len(darts)} darts")
+            if head == "edge" and len(darts) != 2:
+                raise MalformedInput(f"line {lineno}: edge {index} must list two darts")
+            store[index] = tuple(darts)
+        else:
+            raise MalformedInput(f"line {lineno}: unknown directive {head!r}")
+
+    if vertex_count is None:
+        raise MalformedInput("missing 'vertices <V>' line")
+    # the counts first: a header alone must not make V indices
+    vertex_ids, edge_ids = range(vertex_count), range(2 * vertex_count)
+    if len(rotations) != len(vertex_ids) or sorted(rotations) != list(vertex_ids):
+        raise MalformedInput(f"vertex indices must be exactly 0..{vertex_count - 1}")
+    if len(edges) != len(edge_ids) or sorted(edges) != list(edge_ids):
+        raise MalformedInput(f"edge indices must be exactly 0..{2 * vertex_count - 1}")
+
+    return WallSystemMap(
+        vertex_count,
+        [rotations[i] for i in range(vertex_count)],
+        [edges[j] for j in range(2 * vertex_count)],
+    )
+
+
+def parse_basis_file(text: str) -> list[Walk]:
+    """The basis-file parser that read the record grammar itself."""
+    cycles: dict[int, Walk] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, _, rest = line.partition(" ")
+        if head != "cycle" or ":" not in rest:
+            raise MalformedInput(f"line {lineno}: expected 'cycle <i>: ...'")
+        index_part, _, tokens = rest.partition(":")
+        try:
+            index = int(index_part)
+        except ValueError:
+            raise MalformedInput(f"line {lineno}: bad cycle index {index_part!r}") from None
+        crossings = []
+        for token in tokens.split():
+            if token[-1] not in "+-":
+                raise MalformedInput(f"line {lineno}: crossing {token!r} must end in + or -")
+            try:
+                edge = int(token[:-1])
+            except ValueError:
+                raise MalformedInput(f"line {lineno}: bad link id in {token!r}") from None
+            crossings.append((edge, 1 if token[-1] == "+" else -1))
+        if index in cycles:
+            raise MalformedInput(f"line {lineno}: repeated cycle {index}")
+        cycles[index] = tuple(crossings)
+    if sorted(cycles) != list(range(len(cycles))):
+        raise MalformedInput("cycle indices must be 0..rank-1")
+    return [cycles[i] for i in range(len(cycles))]
+
+
+def coorientation_from_text(text: str, edge_count: int) -> Coorientation:
+    """The coorientation-file parser that read the record grammar itself."""
+    signs: dict[int, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, _, rest = line.partition(" ")
+        if head != "edge" or ":" not in rest:
+            raise MalformedInput(f"line {lineno}: expected 'edge <j>: +|-'")
+        index_part, _, sign_part = rest.partition(":")
+        try:
+            index = int(index_part)
+        except ValueError:
+            raise MalformedInput(f"line {lineno}: bad edge index {index_part!r}") from None
+        sign_token = sign_part.strip()
+        if sign_token not in ("+", "-"):
+            raise MalformedInput(f"line {lineno}: sign must be '+' or '-'")
+        if index in signs:
+            raise MalformedInput(f"line {lineno}: repeated edge {index}")
+        signs[index] = 1 if sign_token == "+" else -1
+    if sorted(signs) != list(range(edge_count)):
+        raise MalformedInput(f"coorientation must list edges 0..{edge_count - 1}")
+    return Coorientation(tuple(signs[j] for j in range(edge_count)))

@@ -1,8 +1,10 @@
+import dataclasses
 from itertools import product
 
 import pytest
 
 from wallnorm import (
+    InternalError,
     NotRealizable,
     class_of,
     contains,
@@ -12,6 +14,7 @@ from wallnorm import (
     is_eulerian,
     realize,
 )
+from wallnorm import eikonal
 from conftest import potential_field
 from reference import extend_highest, read_coorientation, seed_values
 
@@ -95,6 +98,30 @@ def test_realize_g11(g11, b11):
     assert class_of(g11, result.coorientation, b11) == (1, 1)
     # oracle: the result must appear in the exhaustive enumeration
     assert result.coorientation.signs in {c.signs for c in _all_coorientations(g11)}
+
+
+def _reverse(steps, basis):
+    return tuple(-s for s in steps)
+
+
+def _flip_off_the_cycles(steps, basis):
+    e = min(set(range(len(steps))) - {e for cycle in basis.cycles for e, _ in cycle})
+    return steps[:e] + (-steps[e],) + steps[e + 1:]
+
+
+@pytest.mark.parametrize("flip", [_reverse, _flip_off_the_cycles])
+def test_realize_rechecks_its_coorientation(g22, b22, monkeypatch, flip):
+    # reversed steps are Eulerian of class -n; one step flipped off the basis
+    # cycles keeps class n but is not Eulerian
+    real = eikonal.highest_potential
+
+    def wrong_steps(wmap, basis, n):
+        potential = real(wmap, basis, n)
+        return dataclasses.replace(potential, steps=flip(potential.steps, basis))
+
+    monkeypatch.setattr(eikonal, "highest_potential", wrong_steps)
+    with pytest.raises(InternalError, match=r"the highest extension of \(2, 0\) does not realize it"):
+        realize(g22, b22, (2, 0))
 
 
 def test_realize_parity_rejection(g11, b11):

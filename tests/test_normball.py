@@ -406,6 +406,23 @@ def test_genus_one_ball_rechecks_each_vertex(monkeypatch):
         dual_ball(g22, homology_basis(g22))
 
 
+def test_support_point_rechecks_the_eulerian_condition(monkeypatch):
+    real = normball.support_coorientation
+
+    def not_eulerian(wmap, basis, d):
+        # one sign flipped on an edge no basis cycle crosses: same class, not Eulerian
+        coor, cls = real(wmap, basis, d)
+        e = min(set(range(len(coor))) - {e for cycle in basis.cycles for e, _ in cycle})
+        signs = list(coor.signs)
+        signs[e] = -signs[e]
+        return Coorientation(tuple(signs)), cls
+
+    monkeypatch.setattr(normball, "support_coorientation", not_eulerian)
+    g22 = grid_map(2, 2)
+    with pytest.raises(InternalError, match="does not carry its class"):
+        dual_ball(g22, homology_basis(g22))
+
+
 @cache
 def _circulation_cases():
     """Fixtures and seeded maps of rank 4, 6 and 8, with their enumerated class points.

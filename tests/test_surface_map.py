@@ -1,21 +1,27 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
+from functools import cache, partial
 from pathlib import Path
 
 import pytest
 
+import reference
 import wallnorm
 from wallnorm import (
     BadDegree,
     BadEuler,
     DartMultiplicity,
     MalformedInput,
+    WallSystemMap,
+    parse_basis_file,
     parse_wall_system,
 )
-from wallnorm.fixtures import grid_map, grid_text, random_wall_system
+from wallnorm.coorient import Coorientation
+from wallnorm.fixtures import grid_basis_text, grid_map, grid_text, random_wall_system
 
 
 def test_parse_g11(g11):
@@ -217,7 +223,7 @@ def test_serialization_round_trip(g11, g22, g23, genus2, random_maps):
         text = wmap.canonical_text
         again = parse_wall_system(text)
         assert again == wmap
-        assert again.canonical_text == text
+        assert again.canonical_text == text and again.digest == wmap.digest
 
 
 def test_comments_and_blank_lines_ignored():
@@ -230,3 +236,124 @@ def test_random_generator_is_deterministic():
     a = random_wall_system(3, random.Random(5))
     b = random_wall_system(3, random.Random(5))
     assert a == b
+
+
+# -- the one record reader against the three parsers it replaced ---------------
+
+HUGE = 10**30
+
+
+def _outcome(parse, text):
+    """What a parser makes of a text: its value, or the exception it raises."""
+    try:
+        return parse(text), None
+    except Exception as exc:  # the reference parsers may raise more than MalformedInput
+        return None, exc
+
+
+def _mutations(text, rng):
+    """Single-line mutations of a record file, each line in turn."""
+    lines = text.splitlines()
+    for k, line in enumerate(lines):
+        tokens = line.split()
+        t = rng.randrange(len(tokens))
+        for new in ([], [line, line], [line.replace(":", "", 1)],
+                    [" ".join(tokens[:t] + ["x"] + tokens[t + 1:])], [f"{line} {tokens[-1]}"],
+                    [re.sub(r"-?\d+", str(HUGE), line, count=1)]):
+            yield "\n".join(lines[:k] + new + lines[k + 1:]) + "\n"
+        swapped = list(lines)
+        j = rng.randrange(len(lines))
+        swapped[k], swapped[j] = swapped[j], swapped[k]
+        yield "\n".join(swapped) + "\n"
+
+
+@cache
+def _record_files():
+    """Wall, basis and coorientation texts: fixtures, seeded maps and their files."""
+    from wallnorm import enumerate_eulerian, format_basis_file, homology_basis
+    from wallnorm.fixtures import four_geodesic_example, genus2_example, one_curve_example
+
+    rng = random.Random(22)
+    maps = [grid_map(m, n) for m, n in ((1, 1), (2, 2), (2, 3), (3, 3))]
+    maps += [four_geodesic_example(), genus2_example(), one_curve_example()]
+    maps += [random_wall_system(2 + k % 7, rng) for k in range(40)]
+    walls = [wmap.canonical_text for wmap in maps]
+    bases = [grid_basis_text(m, n) for m, n in ((1, 1), (2, 2), (2, 3), (3, 3))]
+    bases += [format_basis_file(homology_basis(wmap).cycles) for wmap in maps[4:12]]
+    coors = [(coor.to_text(), wmap.edge_count) for wmap in maps[:8]
+             for coor in enumerate_eulerian(wmap).items[:2]]
+    return walls, bases, coors
+
+
+def _differential_cases():
+    walls, bases, coors = _record_files()
+    rng = random.Random(23)
+    for text in walls:
+        for case in [text, *_mutations(text, rng)]:
+            yield case, parse_wall_system, reference.parse_wall_system
+    for text in bases:
+        for case in [text, *_mutations(text, rng)]:
+            yield case, parse_basis_file, reference.parse_basis_file
+    for text, edge_count in coors:
+        for case in [text, *_mutations(text, rng)]:
+            yield (case, partial(Coorientation.from_text, edge_count=edge_count),
+                   partial(reference.coorientation_from_text, edge_count=edge_count))
+
+
+def test_record_reader_matches_the_reference_parsers():
+    seen = set()
+    for text, parse, parse_reference in _differential_cases():
+        got, error = _outcome(parse, text)
+        want, want_error = _outcome(parse_reference, text)
+        if isinstance(want_error, OverflowError):
+            # a header too large for range() crashed the old parsers
+            assert text.startswith(f"vertices {HUGE}\n") and isinstance(error, MalformedInput)
+            seen.add("overflow")
+        elif want_error is None:
+            assert error is None and got == want, text
+            seen.add("parsed")
+        else:
+            assert type(error) is type(want_error), text
+            if parse is parse_wall_system:
+                assert str(error) == str(want_error), text
+            seen.add(type(error))
+    assert seen == {"overflow", "parsed", MalformedInput, BadDegree}
+
+
+# Inputs the old parsers read with int(), which the one reader refuses: an
+# underscore separator, a non-ASCII digit, a non-ASCII space between fields.
+COOR_2 = partial(Coorientation.from_text, edge_count=2), partial(
+    reference.coorientation_from_text, edge_count=2)
+LOOSE_INTEGERS = [
+    (parse_wall_system, reference.parse_wall_system,
+     "vertices 1\nvertex 0: 0 1 2 3\nedge 0_1: 1 3\nedge 0: 0 2\n"),
+    (parse_wall_system, reference.parse_wall_system,
+     "vertices 1\nvertex 0: 0 1 2 \u0663\nedge 0: 0 2\nedge 1: 1 3\n"),
+    (parse_wall_system, reference.parse_wall_system,
+     "vertices 1\nvertex 0:\u00a00 1 2 3\nedge 0: 0 2\nedge 1: 1 3\n"),
+    (parse_basis_file, reference.parse_basis_file, "cycle 0: 1_0+\n"),
+    (*COOR_2, "edge 0_0: +\nedge 1: -\n"),
+]
+
+
+@pytest.mark.parametrize("parse, parse_reference, text", LOOSE_INTEGERS)
+def test_only_ascii_decimal_integers_are_read(parse, parse_reference, text):
+    assert _outcome(parse_reference, text)[1] is None
+    with pytest.raises(MalformedInput, match="non-ASCII character or '_'"):
+        parse(text)
+
+
+def test_huge_header_is_malformed():
+    with pytest.raises(MalformedInput, match=f"vertex indices must be exactly 0..{HUGE - 1}$"):
+        parse_wall_system(f"vertices {HUGE}\n")
+
+
+def test_constructor_reads_integers_only():
+    with pytest.raises(MalformedInput):
+        WallSystemMap(1.9, [(0, 1, 2, 3)], [(0, 2), (1, 3)])
+    with pytest.raises(MalformedInput):
+        WallSystemMap(1, [(0, 1, 2, 3.0)], [(0, 2), (1, 3)])
+    bools = WallSystemMap(1, [(False, True, 2, 3)], [(0, 2), (1, 3)])
+    assert bools == grid_map(1, 1) and bools.digest == grid_map(1, 1).digest
+    assert all(type(d) is int for rot in bools.rotations for d in rot)
+    assert parse_wall_system(bools.canonical_text) == bools
