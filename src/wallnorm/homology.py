@@ -8,10 +8,13 @@ here is the natural home for evaluating coorientations.
 A basis consists of 2g closed dual walks b_1..b_2g together with integer
 cocycle weight vectors w_1..w_2g on the links such that w_i(b_j) is the
 identity pairing and every w_i vanishes on the boundary of every 2-cell.
-The automatic basis builds each b_i from fundamental loops at face 0 of
-a spanning tree of the dual graph.  Coordinates reported anywhere in the
-package are relative to the active basis; they are read through the
-cocycles, so the shape of a walk matters only through its crossings.
+The automatic basis is a tree-cotree decomposition: a spanning tree of
+the dual graph, a spanning tree (the cotree) of the wall graph on the
+edges off it, and 2g edges in neither.  Each such edge gives one b_i, its
+fundamental loop at face 0 of the tree, and one w_i, its fundamental
+cycle in the cotree.  Coordinates reported anywhere in the package are
+relative to the active basis; they are read through the cocycles, so the
+shape of a walk matters only through its crossings.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from operator import index
 from typing import Sequence
 
 from .errors import InternalError, MalformedInput, NotABasis, TorsionDetected
-from .snf import smith_normal_form, unimodular_inverse
-from .surface_map import Crossing, DualGraph, Walk, WallSystemMap, reverse_walk
+from .snf import unimodular_inverse
+from .surface_map import Crossing, Walk, WallSystemMap, reverse_walk
 from .surface_map import _SIGN, _in_order, _indexed, _record_text, _records
 
 Coords = tuple[int, ...]
@@ -133,31 +136,42 @@ def _class_coords(a: Sequence[int], rank: int, name: str = "class") -> Coords:
     return coords
 
 
-def _spanning_tree(dual: DualGraph) -> tuple[set[int], dict[int, tuple[int, Crossing]]]:
-    """Greedy smallest-index spanning tree; returns tree edges and parent links."""
-    parent_of = list(range(dual.node_count))
+def _spanning_tree(
+    ends: Sequence[tuple[int, int]], count: int, edges: Sequence[int]
+) -> tuple[set[int], dict[int, tuple[int, Crossing]]]:
+    """Greedy spanning tree on ``count`` nodes; returns tree edges and parent links.
+
+    Each of ``edges`` in turn joins the nodes ``ends[e] = (a, b)`` if they
+    lie in two parts so far.  The tree is oriented from node 0 outwards:
+    a node's link is its parent and the crossing from the parent to it,
+    direction +1 when that crossing runs a -> b.
+    """
+    part = list(range(count))
 
     def find(x: int) -> int:
-        while parent_of[x] != x:
-            parent_of[x] = parent_of[parent_of[x]]
-            x = parent_of[x]
+        while part[x] != x:
+            part[x] = part[part[x]]
+            x = part[x]
         return x
 
     tree: set[int] = set()
-    for e, (right, left) in enumerate(dual.ends):
-        a, b = find(right), find(left)
-        if a != b:
-            parent_of[a] = b
+    moves: list[list[tuple[int, int, int]]] = [[] for _ in range(count)]
+    for e in edges:
+        a, b = ends[e]
+        root_a, root_b = find(a), find(b)
+        if root_a != root_b:
+            part[root_a] = root_b
             tree.add(e)
+            moves[a].append((e, +1, b))
+            moves[b].append((e, -1, a))
 
-    # orient the tree from node 0 outwards for path queries
     parents: dict[int, tuple[int, Crossing]] = {0: (0, (0, 0))}
     frontier = [0]
     while frontier:
         nxt = []
         for node in frontier:
-            for e, direction, other in dual.moves[node]:
-                if e in tree and other not in parents:
+            for e, direction, other in moves[node]:
+                if other not in parents:
                     parents[other] = (node, (e, direction))
                     nxt.append(other)
         frontier = nxt
@@ -165,7 +179,7 @@ def _spanning_tree(dual: DualGraph) -> tuple[set[int], dict[int, tuple[int, Cros
 
 
 def _path_to_root(parents: dict[int, tuple[int, Crossing]], node: int) -> Walk:
-    """The walk from node to face 0 inside the spanning tree."""
+    """The walk from node to node 0 inside a spanning tree."""
     crossings = []
     while node != 0:
         node, (e, direction) = parents[node]
@@ -174,52 +188,57 @@ def _path_to_root(parents: dict[int, tuple[int, Crossing]], node: int) -> Walk:
 
 
 def homology_basis(wmap: WallSystemMap) -> HomologyBasis:
-    """Deterministic integer basis of H_1 with dual cocycle weights.
+    """Deterministic integer basis of H_1 with dual cocycle weights, by tree-cotree.
 
-    Fundamental cycles of a greedy spanning tree of the dual graph are
-    quotiented by the image of d2 via Smith normal form; the surviving free
-    generators give the cycles and the matching rows of the transform give
-    the cocycles.  Each cycle is a closed walk from face 0: per non-tree
-    edge e with coefficient c in the generator, the fundamental loop at
-    face 0 (the tree path to e's right face, e crossed right to left, the
-    tree path back from its left face), |c| times, reversed when c < 0.
-    Raises TorsionDetected if the quotient is not free.
+    The tree is the greedy spanning tree of the dual graph.  The edges off
+    it, in index order, are contracted one by one on the double points
+    when they join two parts; those form the cotree, and the 2g edges left
+    over are the generators.  Generator e's cycle is its fundamental loop
+    at face 0: the tree path to e's right face, e crossed right to left,
+    the tree path back from its left face.  Its cocycle is its fundamental
+    cycle in the cotree: 1 on e, and on the cotree path from e's head
+    double point to its tail's, +1 on each edge walked tail -> head and -1
+    on each edge walked head -> tail; it vanishes on every 2-cell.
+
+    This is the basis a Smith normal form of the off-tree rows of d2 gives
+    (the matrix is a directed incidence matrix, so every pivot is +-1):
+    a contracted edge swaps places with the first edge passed over, as
+    the Smith pivot row does with the zero row above it, so the
+    generators come out in the Smith order and basis signatures and
+    reports keep their values.  Raises TorsionDetected unless 2g edges
+    are left over.
     """
     dual = wmap.dual_graph
-    tree, parents = _spanning_tree(dual)
-    nontree = [e for e in range(wmap.edge_count) if e not in tree]
-    m = len(nontree)
-    expected_rank = 2 * wmap.genus
-    bnd = boundary_matrices(wmap)
-
-    # relations: d2 columns in fundamental-cycle coordinates (non-tree rows)
-    relations = [[bnd.d2[e][v] for v in range(wmap.vertex_count)] for e in nontree]
-    snf = smith_normal_form(relations, m, wmap.vertex_count)
-    torsion = [s for s in snf.diag if s not in (0, 1)]
-    if torsion:
-        raise TorsionDetected(f"homology has invariant factors {sorted(set(torsion))}")
-    free = [i for i in range(m) if snf.diag[i] == 0]
-    if len(free) != expected_rank:
+    tree, parents = _spanning_tree(dual.ends, dual.node_count, range(wmap.edge_count))
+    order = [e for e in range(wmap.edge_count) if e not in tree]
+    vertex_of = wmap.dart_vertex
+    ends = [(vertex_of[tail], vertex_of[head]) for tail, head in wmap.edges]
+    cotree, coparents = _spanning_tree(ends, wmap.vertex_count, order)
+    placed = 0
+    for k, e in enumerate(order):
+        if e in cotree:
+            order[placed], order[k] = e, order[placed]
+            placed += 1
+    generators = order[placed:]
+    if len(generators) != 2 * wmap.genus:
         raise TorsionDetected(
-            f"free rank {len(free)} does not match 2g = {expected_rank}"
+            f"free rank {len(generators)} does not match 2g = {2 * wmap.genus}"
         )
 
     cycles = []
     cocycles = []
-    for i in free:
-        walk: list[Crossing] = []
-        for k, e in enumerate(nontree):
-            coeff = snf.u_inverse[k][i]
-            if coeff:
-                right, left = dual.ends[e]
-                loop = (reverse_walk(_path_to_root(parents, right)) + ((e, 1),)
-                        + _path_to_root(parents, left))
-                walk.extend((loop if coeff > 0 else reverse_walk(loop)) * abs(coeff))
-        cycles.append(tuple(walk))
-
+    for e in generators:
+        right, left = dual.ends[e]
+        cycles.append(reverse_walk(_path_to_root(parents, right)) + ((e, 1),)
+                      + _path_to_root(parents, left))
         weights = [0] * wmap.edge_count
-        for k, e in enumerate(nontree):
-            weights[e] = snf.u[i][k]
+        weights[e] = 1
+        tail, head = ends[e]
+        # head -> 0, then 0 -> tail: the stretch the two paths share cancels
+        for c, direction in _path_to_root(coparents, head):
+            weights[c] += direction
+        for c, direction in _path_to_root(coparents, tail):
+            weights[c] -= direction
         cocycles.append(tuple(weights))
 
     basis = HomologyBasis(wmap, tuple(cycles), tuple(cocycles), label="auto")

@@ -1,129 +1,18 @@
-"""Exact integer matrix tools: Smith normal form and small unimodular algebra.
+"""Exact integer matrix tools: determinant and unimodular inverse.
 
 Everything here runs over Python's arbitrary-precision integers; there
-is no floating point and no modular shortcut anywhere.  The determinant
-and the inverse come from the one fraction-free elimination of
-``simplex``.
+is no floating point and no modular shortcut anywhere.  Both come from
+the one fraction-free elimination of ``simplex``; ``set_user_basis``
+uses them to accept a proposed basis and recompute its cocycles.  The
+module holds no Smith normal form despite its name: ``homology`` builds
+the automatic basis by tree-cotree contraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .simplex import _eliminate
-
-
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-@dataclass(frozen=True)
-class SNFResult:
-    """Diagonalization S = U A V with U unimodular (V is not tracked).
-
-    ``diag`` holds the diagonal of S padded with zeros to ``rows`` entries,
-    so index i of ``diag`` matches row i of U and column i of ``u_inverse``.
-    """
-
-    u: tuple[tuple[int, ...], ...]
-    u_inverse: tuple[tuple[int, ...], ...]
-    diag: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for s in self.diag if s != 0)
-
-
-def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int, cols: int) -> SNFResult:
-    """Diagonalize an integer matrix by unimodular row and column operations.
-
-    Only the left transform U (and its inverse) is returned; column
-    operations do not change the column span, which is all the homology
-    computation needs.  Divisibility of the diagonal is not normalized:
-    the callers only ever ask whether entries lie in {0, 1}.
-    """
-    a = [[int(matrix[i][j]) for j in range(cols)] for i in range(rows)]
-    u = identity(rows)
-    u_inv = identity(rows)
-
-    def row_swap(i: int, k: int) -> None:
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-        for r in u_inv:
-            r[i], r[k] = r[k], r[i]
-
-    def row_negate(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in u_inv:
-            r[i] = -r[i]
-
-    def row_add(i: int, k: int, c: int) -> None:
-        # row_i += c * row_k; inverse transform: column_k -= c * column_i
-        a[i] = [x + c * y for x, y in zip(a[i], a[k])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[k])]
-        for r in u_inv:
-            r[k] -= c * r[i]
-
-    def col_swap(j: int, k: int) -> None:
-        for r in a:
-            r[j], r[k] = r[k], r[j]
-
-    def col_add(j: int, k: int, c: int) -> None:
-        # column_j += c * column_k; only A needs it
-        for r in a:
-            r[j] += c * r[k]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        if pivot != (t, t):
-            if pivot[0] != t:
-                row_swap(t, pivot[0])
-            if pivot[1] != t:
-                col_swap(t, pivot[1])
-        if a[t][t] < 0:
-            row_negate(t)
-
-        while True:
-            moved = False
-            for i in range(rows):
-                if i != t and a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_add(i, t, -q)
-                    if a[i][t]:
-                        # remainder became the smaller pivot
-                        row_swap(t, i)
-                        if a[t][t] < 0:
-                            row_negate(t)
-                        moved = True
-            for j in range(cols):
-                if j != t and a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_add(j, t, -q)
-                    if a[t][j]:
-                        col_swap(t, j)
-                        moved = True
-            if not moved:
-                break
-        t += 1
-
-    diag = tuple(a[i][i] if i < cols else 0 for i in range(rows))
-    return SNFResult(
-        tuple(tuple(r) for r in u),
-        tuple(tuple(r) for r in u_inv),
-        diag,
-    )
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:

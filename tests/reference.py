@@ -11,7 +11,10 @@ tables at h + 1 every time, which the level bound of
 ``parse_wall_system``, ``parse_basis_file`` and ``coorientation_from_text``
 are the three file parsers as each read the shared record grammar on its
 own, with ``int``; the one record reader in ``surface_map`` is held to
-them.
+them.  ``snf_homology_basis`` is the automatic H_1 basis as a dense Smith
+normal form (``smith_normal_form``) of the off-tree relation matrix built
+it, which the tree-cotree ``homology.homology_basis`` is held to; the
+rank check of ``simplex.affine_dimension`` reads the same Smith normal form.
 Two of them compute the package's answers another way:
 
 * ``solve_lp``, a textbook two-phase tableau simplex with Bland's rule
@@ -38,10 +41,15 @@ from typing import Iterator, Sequence
 from wallnorm import oracle
 from wallnorm.coorient import Coorientation
 from wallnorm.errors import (
-    BadDegree, BoxExceeded, InternalError, MalformedInput, UnstableTruncation,
+    BadDegree, BoxExceeded, InternalError, MalformedInput, TorsionDetected,
+    UnstableTruncation,
 )
-from wallnorm.homology import Coords, HomologyBasis
-from wallnorm.surface_map import Walk, WallSystemMap
+from wallnorm.homology import (
+    Coords, HomologyBasis, _check_basis, _path_to_root, boundary_matrices,
+)
+from wallnorm.surface_map import (
+    Crossing, DualGraph, Walk, WallSystemMap, reverse_walk,
+)
 
 
 def dp_tables(single, radius):
@@ -571,3 +579,200 @@ def coorientation_from_text(text: str, edge_count: int) -> Coorientation:
     if sorted(signs) != list(range(edge_count)):
         raise MalformedInput(f"coorientation must list edges 0..{edge_count - 1}")
     return Coorientation(tuple(signs[j] for j in range(edge_count)))
+
+
+def identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@dataclass(frozen=True)
+class SNFResult:
+    """Diagonalization S = U A V with U unimodular (V is not tracked).
+
+    ``diag`` holds the diagonal of S padded with zeros to ``rows`` entries,
+    so index i of ``diag`` matches row i of U and column i of ``u_inverse``.
+    """
+
+    u: tuple[tuple[int, ...], ...]
+    u_inverse: tuple[tuple[int, ...], ...]
+    diag: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for s in self.diag if s != 0)
+
+
+def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int, cols: int) -> SNFResult:
+    """Diagonalize an integer matrix by unimodular row and column operations.
+
+    Only the left transform U (and its inverse) is returned; column
+    operations do not change the column span, which is all the homology
+    computation needs.  Divisibility of the diagonal is not normalized:
+    the callers only ever ask whether entries lie in {0, 1}.
+    """
+    a = [[int(matrix[i][j]) for j in range(cols)] for i in range(rows)]
+    u = identity(rows)
+    u_inv = identity(rows)
+
+    def row_swap(i: int, k: int) -> None:
+        a[i], a[k] = a[k], a[i]
+        u[i], u[k] = u[k], u[i]
+        for r in u_inv:
+            r[i], r[k] = r[k], r[i]
+
+    def row_negate(i: int) -> None:
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+        for r in u_inv:
+            r[i] = -r[i]
+
+    def row_add(i: int, k: int, c: int) -> None:
+        # row_i += c * row_k; inverse transform: column_k -= c * column_i
+        a[i] = [x + c * y for x, y in zip(a[i], a[k])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[k])]
+        for r in u_inv:
+            r[k] -= c * r[i]
+
+    def col_swap(j: int, k: int) -> None:
+        for r in a:
+            r[j], r[k] = r[k], r[j]
+
+    def col_add(j: int, k: int, c: int) -> None:
+        # column_j += c * column_k; only A needs it
+        for r in a:
+            r[j] += c * r[k]
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        pivot = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = abs(a[i][j])
+                if v and (best is None or v < best):
+                    best, pivot = v, (i, j)
+        if pivot is None:
+            break
+        if pivot != (t, t):
+            if pivot[0] != t:
+                row_swap(t, pivot[0])
+            if pivot[1] != t:
+                col_swap(t, pivot[1])
+        if a[t][t] < 0:
+            row_negate(t)
+
+        while True:
+            moved = False
+            for i in range(rows):
+                if i != t and a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    row_add(i, t, -q)
+                    if a[i][t]:
+                        # remainder became the smaller pivot
+                        row_swap(t, i)
+                        if a[t][t] < 0:
+                            row_negate(t)
+                        moved = True
+            for j in range(cols):
+                if j != t and a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    col_add(j, t, -q)
+                    if a[t][j]:
+                        col_swap(t, j)
+                        moved = True
+            if not moved:
+                break
+        t += 1
+
+    diag = tuple(a[i][i] if i < cols else 0 for i in range(rows))
+    return SNFResult(
+        tuple(tuple(r) for r in u),
+        tuple(tuple(r) for r in u_inv),
+        diag,
+    )
+
+
+def dual_spanning_tree(dual: DualGraph) -> tuple[set[int], dict[int, tuple[int, Crossing]]]:
+    """Greedy smallest-index spanning tree; returns tree edges and parent links."""
+    parent_of = list(range(dual.node_count))
+
+    def find(x: int) -> int:
+        while parent_of[x] != x:
+            parent_of[x] = parent_of[parent_of[x]]
+            x = parent_of[x]
+        return x
+
+    tree: set[int] = set()
+    for e, (right, left) in enumerate(dual.ends):
+        a, b = find(right), find(left)
+        if a != b:
+            parent_of[a] = b
+            tree.add(e)
+
+    # orient the tree from node 0 outwards for path queries
+    parents: dict[int, tuple[int, Crossing]] = {0: (0, (0, 0))}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for e, direction, other in dual.moves[node]:
+                if e in tree and other not in parents:
+                    parents[other] = (node, (e, direction))
+                    nxt.append(other)
+        frontier = nxt
+    return tree, parents
+
+
+def snf_homology_basis(wmap: WallSystemMap) -> HomologyBasis:
+    """Deterministic integer basis of H_1 with dual cocycle weights.
+
+    Fundamental cycles of a greedy spanning tree of the dual graph are
+    quotiented by the image of d2 via Smith normal form; the surviving free
+    generators give the cycles and the matching rows of the transform give
+    the cocycles.  Each cycle is a closed walk from face 0: per non-tree
+    edge e with coefficient c in the generator, the fundamental loop at
+    face 0 (the tree path to e's right face, e crossed right to left, the
+    tree path back from its left face), |c| times, reversed when c < 0.
+    Raises TorsionDetected if the quotient is not free.
+    """
+    dual = wmap.dual_graph
+    tree, parents = dual_spanning_tree(dual)
+    nontree = [e for e in range(wmap.edge_count) if e not in tree]
+    m = len(nontree)
+    expected_rank = 2 * wmap.genus
+    bnd = boundary_matrices(wmap)
+
+    # relations: d2 columns in fundamental-cycle coordinates (non-tree rows)
+    relations = [[bnd.d2[e][v] for v in range(wmap.vertex_count)] for e in nontree]
+    snf = smith_normal_form(relations, m, wmap.vertex_count)
+    torsion = [s for s in snf.diag if s not in (0, 1)]
+    if torsion:
+        raise TorsionDetected(f"homology has invariant factors {sorted(set(torsion))}")
+    free = [i for i in range(m) if snf.diag[i] == 0]
+    if len(free) != expected_rank:
+        raise TorsionDetected(
+            f"free rank {len(free)} does not match 2g = {expected_rank}"
+        )
+
+    cycles = []
+    cocycles = []
+    for i in free:
+        walk: list[Crossing] = []
+        for k, e in enumerate(nontree):
+            coeff = snf.u_inverse[k][i]
+            if coeff:
+                right, left = dual.ends[e]
+                loop = (reverse_walk(_path_to_root(parents, right)) + ((e, 1),)
+                        + _path_to_root(parents, left))
+                walk.extend((loop if coeff > 0 else reverse_walk(loop)) * abs(coeff))
+        cycles.append(tuple(walk))
+
+        weights = [0] * wmap.edge_count
+        for k, e in enumerate(nontree):
+            weights[e] = snf.u[i][k]
+        cocycles.append(tuple(weights))
+
+    basis = HomologyBasis(wmap, tuple(cycles), tuple(cocycles), label="auto")
+    _check_basis(basis)
+    return basis

@@ -21,11 +21,13 @@ from wallnorm import (
     set_user_basis,
 )
 from wallnorm.fixtures import (
-    four_geodesic_example, grid_basis_walks, grid_map, random_wall_system,
+    four_geodesic_example, genus2_example, grid_basis_walks, grid_map, one_curve_example,
+    random_wall_system,
 )
 from wallnorm.surface_map import reverse_walk
 
 from conftest import random_closed_walk
+from reference import snf_homology_basis
 
 
 def test_d1_d2_composes_to_zero(g11, g22, g23, genus2, random_maps):
@@ -178,6 +180,22 @@ def test_auto_basis_signatures_are_pinned():
         wmap = _random_map(seed)
         assert 1 <= wmap.genus <= 4
         assert homology_basis(wmap).signature == signature, seed
+
+
+def test_tree_cotree_basis_matches_smith_normal_form():
+    # the tree-cotree basis is the Smith normal form basis, generator order
+    # included: G(m, n) (m or n = 1 gives loop edges), the named fixtures,
+    # and seeded random maps of genus 1 to 7
+    maps = [grid_map(m, n) for m in range(1, 7) for n in range(1, 7)]
+    maps += [four_geodesic_example(), genus2_example(), one_curve_example()]
+    rng = random.Random(20031)
+    maps += [random_wall_system(rng.randint(1, 16), rng) for _ in range(640)]
+    assert {wmap.genus for wmap in maps} >= set(range(1, 8))
+    for k, wmap in enumerate(maps):
+        new, old = homology_basis(wmap), snf_homology_basis(wmap)
+        assert new.cycles == old.cycles, k
+        assert new.cocycles == old.cocycles, k
+        assert new.signature == old.signature, k
 
 
 def test_set_user_basis_identity(g22, genus2):

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 from wallnorm.simplex import affine_dimension
 
-from reference import INFEASIBLE, OPTIMAL, UNBOUNDED, hull_position, solve_lp
+from reference import (
+    INFEASIBLE, OPTIMAL, UNBOUNDED, hull_position, smith_normal_form, solve_lp,
+)
 
 
 def F(x):
@@ -111,8 +113,6 @@ def test_affine_dimension():
 
 
 def test_affine_dimension_matches_smith_rank():
-    from wallnorm.snf import smith_normal_form
-
     rng = random.Random(5)
     for _ in range(300):
         dim, k = rng.randint(1, 6), rng.randint(0, 6)
