@@ -9,23 +9,26 @@ its lattice point and its topological invariants, which depend only on
 the wall system (Euler characteristic -2V, twice the number of curves
 many boundary circles).
 
-The classification enumerates nothing at any genus: the bounding box of
-the dual ball comes from 2 * rank support queries
-(``normball.bounding_box``), and the position of each congruent point
-from its highest potential, an integer shortest-path computation on the
-dual graph.  The pairings of all the points with the edge weights come
-from one product, in Python integers, and each pairing prices both
-crossings of its edge.
+The classification enumerates nothing at any genus.  At genus one the
+box and every position come from the polygon of the dual ball, walked
+with the support oracle: one integer cross product per side and point.
+Above genus one the bounding box of the dual ball comes from 2 * rank
+support queries (``normball.bounding_box``), and the position of each
+congruent point from its highest potential, an integer shortest-path
+computation on the dual graph.  The pairings of all the points with the
+edge weights come from one product, in Python integers, and each pairing
+prices both crossings of its edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .eikonal import _arcs, _potential
 from .errors import InternalError
 from .homology import Coords, HomologyBasis, gamma_parity
-from .normball import DualBall, bounding_box
+from .normball import DualBall, _polygon_position, bounding_box, dual_ball
 from .surface_map import WallSystemMap
 
 
@@ -80,10 +83,13 @@ def classify(
     """Classify every congruent lattice point of the dual ball's bounding box.
 
     A given ``ball`` supplies the box; without one it comes from the
-    support queries.  A ball built on another basis is refused with
-    InternalError: its box is in other coordinates.  Each position comes
-    straight from the highest potential, with no check of the ball's
-    dimension: none is needed.  The curves fill the surface, so a closed
+    support queries, except at genus one, where the kept ball is used,
+    built if needed.  A ball built on another basis is refused with
+    InternalError: its box is in other coordinates.  At genus one each
+    position is read off the ball's polygon, its sides' cross products;
+    above genus one (or for a given ball without a polygon) it comes
+    straight from the highest potential.  Neither checks the ball's
+    dimension: no check is needed.  The curves fill the surface, so a closed
     dual walk of a nonzero class crosses a wall and the norm is
     definite.  The ball is symmetric (reversing a coorientation negates its
     class), so its affine hull is a linear subspace spanned by lattice
@@ -94,20 +100,27 @@ def classify(
     """
     if ball is not None and ball.basis not in (None, basis):
         raise InternalError("the ball belongs to a different basis")
+    if ball is None and basis.rank == 2:
+        ball = dual_ball(wmap, basis)
     box = bounding_box(wmap, basis) if ball is None else ball.bounding_box()
     parity = gamma_parity(wmap, basis)
     chi, circles, genus = section_invariants(wmap)
     entries = []
     counts = {"interior": 0, "boundary": 0, "outside": 0}
     congruent = [range(lo + (lo - p) % 2, hi + 1, 2) for (lo, hi), p in zip(box, parity)]
-    # the pairings point.w_e of every point: the product of the points with the
-    # edge weights, one cocycle at a time, in itertools.product order
-    rows = [((), [0] * wmap.edge_count)]
-    for values, cocycle in zip(congruent, basis.cocycles):
-        rows = [(point + (x,), [t + x * w for t, w in zip(row, cocycle)])
-                for point, row in rows for x in values]
-    for point, row in rows:
-        status = _potential(wmap, basis, _arcs(basis, row)).position
+    polygon = None if ball is None else ball.polygon
+    if polygon is not None:
+        located = [(point, _polygon_position(polygon, *point)) for point in product(*congruent)]
+    else:
+        # the pairings point.w_e of every point: the product of the points with the
+        # edge weights, one cocycle at a time, in itertools.product order
+        rows = [((), [0] * wmap.edge_count)]
+        for values, cocycle in zip(congruent, basis.cocycles):
+            rows = [(point + (x,), [t + x * w for t, w in zip(row, cocycle)])
+                    for point, row in rows for x in values]
+        located = [(point, _potential(wmap, basis, _arcs(basis, row)).position)
+                   for point, row in rows]
+    for point, status in located:
         counts[status] += 1
         entries.append(SectionClass(point, status, chi, circles, genus))
     return ClassificationReport(

@@ -14,14 +14,16 @@ pairs the class with its extreme points in one pass instead.
 The ball itself: at genus one it is a polygon walked with the same
 circulation; its vertices are the extreme points, and the class points
 are the lattice points congruent to the crossing parity class inside it.
-Nothing is enumerated there.  At higher genus the class points are the
+Nothing is enumerated there, and the position of a lattice point
+(outside, boundary, interior) is read off the polygon's sides, one
+integer cross product each.  At higher genus the class points are the
 classes counted by ``coorient.eulerian_class_counts``, a transfer-matrix
 DP that lists no coorientation, and the highest potential of
 ``eikonal``, an integer shortest-path computation on the dual graph,
 finds the extreme points among them: the class points whose tight
-closed dual walks span full rank.  The same potential decides the position of a lattice point
-(outside, boundary, interior) at every genus.  The ball is built once per
-basis and kept on it.  Areas come from the shoelace formula.
+closed dual walks span full rank.  The same potential decides the
+position of a lattice point there.  The ball is built once per basis and
+kept on it.  Areas come from the shoelace formula.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 from .coorient import eulerian_class_counts, is_eulerian, support_coorientation
@@ -95,20 +97,27 @@ def norm(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence[int]) -> NormVal
     ``dual_ball``; every later query on the basis, this one and
     ``norm_rational``, then pairs the class with its extreme points.
     """
-    a = _class_coords(a, basis.rank)
-    _check_basis_map(wmap, basis)
     ball = basis._memo.get("ball")
-    if ball is None:
-        witness = _support_vertex(wmap, basis, a)
-        return NormValue(sum(map(mul, witness, a)), witness)
-    extreme = ball.extreme
-    if not extreme:
-        raise InternalError("the dual ball has no extreme points")
-    if len(a) == 2:  # genus one, where warm queries come in bulk
-        a0, a1 = a
+    if ball is not None and basis.rank == 2 and isinstance(a, (tuple, list)):
+        # genus one, where warm queries come in bulk: the two coordinates inline
+        try:
+            a0, a1 = a
+            a0, a1 = index(a0), index(a1)
+        except (TypeError, ValueError):
+            a0, a1 = _class_coords(a, 2)  # raises the exact error
+        _check_basis_map(wmap, basis)
+        extreme = ball.extreme
         values = [x * a0 + y * a1 for x, y in extreme]
     else:
+        a = _class_coords(a, basis.rank)
+        _check_basis_map(wmap, basis)
+        if ball is None:
+            witness = _support_vertex(wmap, basis, a)
+            return NormValue(sum(map(mul, witness, a)), witness)
+        extreme = ball.extreme
         values = [sum(map(mul, p, a)) for p in extreme]
+    if not extreme:
+        raise InternalError("the dual ball has no extreme points")
     best = max(values)
     return NormValue(best, extreme[values.index(best)])
 
@@ -201,7 +210,6 @@ def _genus_one_ball(
         else:
             k += 1
     parity = gamma_parity(wmap, basis)
-    sides = list(zip(vertices, vertices[1:] + vertices[:1]))
     (x0, x1), (y0, y1) = (
         (min(v[i] for v in vertices), max(v[i] for v in vertices)) for i in (0, 1)
     )
@@ -209,9 +217,27 @@ def _genus_one_ball(
         (x, y)
         for x in range(x0 + (x0 - parity[0]) % 2, x1 + 1, 2)
         for y in range(y0 + (y0 - parity[1]) % 2, y1 + 1, 2)
-        if all((q[0] - p[0]) * (y - p[1]) >= (q[1] - p[1]) * (x - p[0]) for p, q in sides)
+        if _polygon_position(vertices, x, y) != "outside"
     )
     return points, tuple(sorted(vertices))
+
+
+def _polygon_position(polygon: Sequence[Coords], x: int, y: int) -> str:
+    """Position of (x, y) against a counterclockwise convex polygon, from its sides.
+
+    The cross product of a side p -> q with p -> (x, y) is negative when
+    the point lies right of the side, outside; zero on the side's line.
+    """
+    position = "interior"
+    px, py = polygon[-1]
+    for qx, qy in polygon:
+        c = (qx - px) * (y - py) - (qy - py) * (x - px)
+        if c < 0:
+            return "outside"
+        if c == 0:
+            position = "boundary"
+        px, py = qx, qy
+    return position
 
 
 def _build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
@@ -268,11 +294,17 @@ def dual_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
 
 
 def contains(ball: DualBall, p: Sequence[int]) -> str:
-    """Exact position of a lattice point: 'outside', 'boundary', or 'interior'."""
+    """Exact position of a lattice point: 'outside', 'boundary', or 'interior'.
+
+    At genus one it is read off the polygon's sides; above genus one, and
+    for a ball without a polygon, it is the highest potential's position.
+    """
     if ball.dim < ball.ambient_dim:
         raise DegenerateBall(
             f"dual ball has affine dimension {ball.dim} < {ball.ambient_dim}"
         )
     if ball.wmap is None or ball.basis is None:
         raise ValueError("the ball carries no map and basis; build it with dual_ball")
+    if ball.polygon is not None:
+        return _polygon_position(ball.polygon, *_class_coords(p, 2, "target class"))
     return highest_potential(ball.wmap, ball.basis, p).position

@@ -37,6 +37,7 @@ from wallnorm.fixtures import (
     grid_text,
     one_curve_example,
     random_wall_system,
+    torus_geodesic_arrangement,
 )
 from wallnorm.normball import DualBall, NormValue
 from wallnorm.simplex import affine_dimension
@@ -391,6 +392,116 @@ def test_genus_one_ball_never_enumerates(tmp_path, monkeypatch):
     for command in (["norm", *args, "1", "2"], ["ball", *args], ["ball", *args, "--all-classes"],
                     ["ball", *args, "--area"], ["birkhoff", *args], ["svg", *args]):
         assert cli.main(command, out=io.StringIO()) == 0, command
+
+
+def _genus_one_position_cases():
+    """G(m, n) with grid and automatic bases, two geodesic arrangements, 40 random maps."""
+    cases = []
+    for m, n in product(range(1, 6), repeat=2):
+        wmap = grid_map(m, n)
+        cases += [(wmap, grid_basis(wmap, m, n)), (wmap, homology_basis(wmap))]
+    arrangement = torus_geodesic_arrangement(
+        [((1, 0), (0, Fraction(1, 3))), ((0, 1), (Fraction(1, 5), 0)),
+         ((1, 2), (Fraction(1, 7), Fraction(1, 11))), ((2, -1), (Fraction(2, 9), Fraction(1, 13)))]
+    )
+    cases += [(wmap, homology_basis(wmap)) for wmap in (four_geodesic_example(), arrangement)]
+    rng = random.Random(24)
+    while len(cases) < 50 + 2 + 40:
+        wmap = random_wall_system(rng.randint(2, 9), rng)
+        if wmap.genus == 1:
+            cases.append((wmap, homology_basis(wmap)))
+    return cases
+
+
+def test_genus_one_positions_equal_the_potential():
+    # the polygon's sides against the highest potential, on the box plus one ring
+    for wmap, basis in _genus_one_position_cases():
+        ball = dual_ball(wmap, basis)
+        (x0, x1), (y0, y1) = ball.bounding_box()
+        ring = list(product(range(x0 - 1, x1 + 2), range(y0 - 1, y1 + 2)))
+        want = {p: highest_potential(wmap, basis, p).position for p in ring}
+        assert {p: contains(ball, p) for p in ring} == want, wmap.digest
+        parity = gamma_parity(wmap, basis)
+        assert ball.points == tuple(
+            p for p in ring
+            if want[p] != "outside" and all((x - q) % 2 == 0 for x, q in zip(p, parity))
+        ), wmap.digest
+        report = birkhoff.classify(wmap, basis)
+        assert report.entries and all(e.status == want[e.point] for e in report.entries)
+
+
+def test_genus_one_positions_run_no_potential(tmp_path, monkeypatch):
+    g2 = genus2_example()
+    g2_basis = homology_basis(g2)
+    g2_ball = dual_ball(g2, g2_basis)
+    (tmp_path / "G34.wall").write_text(grid_text(3, 4))
+    (tmp_path / "G34.basis").write_text(grid_basis_text(3, 4))
+    (tmp_path / "genus2.wall").write_text(g2.canonical_text)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a potential ran")
+
+    for module in (eikonal, birkhoff):  # birkhoff imports it by name
+        monkeypatch.setattr(module, "_potential", refuse)
+    for wmap in (grid_map(3, 4), four_geodesic_example()):
+        basis = homology_basis(wmap)
+        ball = dual_ball(wmap, basis)
+        assert [contains(ball, p) for p in ((0, 0), ball.extreme[0], (99, 0))] == [
+            "interior", "boundary", "outside"]
+        assert birkhoff.classify(wmap, basis).entries
+    args = [str(tmp_path / "G34.wall"), "--basis", str(tmp_path / "G34.basis")]
+    for command in (["birkhoff", *args], ["svg", *args]):
+        assert cli.main(command, out=io.StringIO()) == 0, command
+    # above genus one the potential is still the only position method
+    for query in (lambda: contains(g2_ball, (0, 0, 0, 0)),
+                  lambda: birkhoff.classify(g2, g2_basis),
+                  lambda: cli.main(["birkhoff", str(tmp_path / "genus2.wall")], out=io.StringIO())):
+        with pytest.raises(AssertionError, match="a potential ran"):
+            query()
+
+
+def _norm_outcome(wmap, basis, a):
+    """norm's value and witness, or its exception's class and text (a's repr masked)."""
+    try:
+        result = norm(wmap, basis, a)
+    except Exception as exc:  # the class and text are the outcome
+        return type(exc), str(exc).replace(repr(a), "<a>")
+    assert type(result.value) is int and all(type(x) is int for x in result.witness)
+    return result
+
+
+def test_warm_and_cold_norm_agree_on_every_input(g22, genus2):
+    import numpy as np
+
+    other = grid_map(2, 3)
+    for wmap, rank in ((g22, 2), (genus2, 4)):
+        good = [3, -1, 2, 0][:rank]
+        inputs = [
+            lambda: (2.0,) + tuple(good[1:]),
+            lambda: [Fraction(1)] + good[1:],
+            lambda: "12",
+            lambda: (1,),
+            lambda: (1, 2, 3),
+            lambda: tuple(good),
+            lambda: list(good),
+            lambda: (x for x in good),
+            lambda: (x for x in [1.5] + good[1:]),
+            lambda: (x for x in good + [1]),
+            lambda: tuple(np.int64(x) for x in good),
+            lambda: np.array(good, dtype=np.int64),
+            lambda: np.array(good, dtype=np.float64),
+            lambda: 7,
+        ]
+        warm = homology_basis(wmap)
+        dual_ball(wmap, warm)
+        for make in inputs:
+            cold = homology_basis(wmap)
+            assert _norm_outcome(wmap, warm, make()) == _norm_outcome(wmap, cold, make())
+            assert "ball" not in cold._memo
+            # a basis of another map: a bad class is refused first, a good one by the map check
+            assert _norm_outcome(other, warm, make()) == _norm_outcome(other, cold, make())
+        assert _norm_outcome(other, warm, tuple(good)) == (
+            InternalError, "the basis belongs to a different map")
 
 
 def test_genus_one_ball_rechecks_each_vertex(monkeypatch):
