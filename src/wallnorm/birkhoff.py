@@ -12,12 +12,13 @@ many boundary circles).
 The classification enumerates nothing at any genus.  At genus one the
 box and every position come from the polygon of the dual ball, walked
 with the support oracle: one integer cross product per side and point.
-Above genus one the bounding box of the dual ball comes from 2 * rank
-support queries (``normball.bounding_box``), and the position of each
-congruent point from its highest potential, an integer shortest-path
-computation on the dual graph.  The pairings of all the points with the
-edge weights come from one product, in Python integers, and each pairing
-prices both crossings of its edge.
+Above genus one the bounding box of the dual ball comes from rank
+support queries (``normball.bounding_box``; the ball is centrally
+symmetric, so each minimum is minus its maximum), and the position of
+each pair {p, -p} of congruent points from one highest potential, an
+integer shortest-path computation on the dual graph.  The pairings of all
+the points with the edge weights come from one product, in Python
+integers, and each pairing prices both crossings of its edge.
 """
 
 from __future__ import annotations
@@ -88,7 +89,9 @@ def classify(
     InternalError: its box is in other coordinates.  At genus one each
     position is read off the ball's polygon, its sides' cross products;
     above genus one (or for a given ball without a polygon) it comes
-    straight from the highest potential.  Neither checks the ball's
+    straight from the highest potential, one per pair {p, -p}, keyed by
+    max(p, -p): the two share their position even when a given ball's box
+    holds only one of them.  Neither checks the ball's
     dimension: no check is needed.  The curves fill the surface, so a closed
     dual walk of a nonzero class crosses a wall and the norm is
     definite.  The ball is symmetric (reversing a coorientation negates its
@@ -118,8 +121,14 @@ def classify(
         for values, cocycle in zip(congruent, basis.cocycles):
             rows = [(point + (x,), [t + x * w for t, w in zip(row, cocycle)])
                     for point, row in rows for x in values]
-        located = [(point, _potential(wmap, basis, _arcs(basis, row)).position)
-                   for point, row in rows]
+        # p and -p have one position (the ball is symmetric): one potential per pair
+        positions: dict[Coords, str] = {}
+        located = []
+        for point, row in rows:
+            key = max(point, tuple(-x for x in point))
+            if key not in positions:
+                positions[key] = _potential(wmap, basis, _arcs(basis, row)).position
+            located.append((point, positions[key]))
     for point, status in located:
         counts[status] += 1
         entries.append(SectionClass(point, status, chi, circles, genus))

@@ -7,9 +7,16 @@ unit ball, the convex hull of those classes.
 computes it at any genus.  A cold ``norm`` runs it once, on a cost
 perturbed so that the maximizer is the lexicographically smallest
 maximizing class, and builds no ball; ``norm_rational`` scales its class
-to integers and asks ``norm``; ``bounding_box`` takes one query per signed
-coordinate direction.  Once the ball is kept on the basis, a norm query
-pairs the class with its extreme points in one pass instead.
+to integers and asks ``norm``.  Once the ball is kept on the basis, a norm
+query scans its extreme points once, in ascending order, keeping the
+first strict maximum of the pairing.
+
+The norm is symmetric, x(-a) = x(a): reversing an Eulerian coorientation
+negates its class, so the ball, its class points, its extreme points and
+every position are symmetric under p -> -p.  Every oracle call uses it:
+``bounding_box`` takes one query per coordinate direction e_k, the
+genus-one walk tests half the polygon's sides, and the vertex test runs
+once per pair {p, -p}.
 
 The ball itself: at genus one it is a polygon walked with the same
 circulation; its vertices are the extreme points, and the class points
@@ -89,8 +96,8 @@ def norm(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence[int]) -> NormVal
     The witness is the lexicographically smallest maximizing class: the
     maximizers form a face of the ball, whose lexicographic minimum is a
     vertex.  A kept ball's extreme points are in ascending order, so the
-    first maximizer among them is that vertex.  Without a kept ball one
-    circulation, ``_support_vertex``, finds it.
+    first strict maximum of one scan over them is that vertex.  Without a
+    kept ball one circulation, ``_support_vertex``, finds it.
 
     A cold query pays that circulation every time and keeps nothing.  A
     caller with many queries on one basis builds the ball first with
@@ -98,28 +105,35 @@ def norm(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence[int]) -> NormVal
     ``norm_rational``, then pairs the class with its extreme points.
     """
     ball = basis._memo.get("ball")
-    if ball is not None and basis.rank == 2 and isinstance(a, (tuple, list)):
+    if ball is not None and len(basis.cycles) == 2 and isinstance(a, (tuple, list)):
         # genus one, where warm queries come in bulk: the two coordinates inline
         try:
             a0, a1 = a
             a0, a1 = index(a0), index(a1)
         except (TypeError, ValueError):
             a0, a1 = _class_coords(a, 2)  # raises the exact error
-        _check_basis_map(wmap, basis)
-        extreme = ball.extreme
-        values = [x * a0 + y * a1 for x, y in extreme]
+        if basis.wmap is not wmap:
+            _check_basis_map(wmap, basis)
+        best = witness = None
+        for p in ball.extreme:  # ascending, so the first strict maximum is the smallest maximizer
+            value = p[0] * a0 + p[1] * a1
+            if best is None or value > best:
+                best, witness = value, p
     else:
-        a = _class_coords(a, basis.rank)
-        _check_basis_map(wmap, basis)
+        a = _class_coords(a, len(basis.cycles))
+        if basis.wmap is not wmap:
+            _check_basis_map(wmap, basis)
         if ball is None:
             witness = _support_vertex(wmap, basis, a)
             return NormValue(sum(map(mul, witness, a)), witness)
-        extreme = ball.extreme
-        values = [sum(map(mul, p, a)) for p in extreme]
-    if not extreme:
+        best = witness = None
+        for p in ball.extreme:
+            value = sum(map(mul, p, a))
+            if best is None or value > best:
+                best, witness = value, p
+    if witness is None:
         raise InternalError("the dual ball has no extreme points")
-    best = max(values)
-    return NormValue(best, extreme[values.index(best)])
+    return NormValue(best, witness)
 
 
 def norm_rational(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence) -> Fraction:
@@ -134,15 +148,15 @@ def norm_rational(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence) -> Fra
 
 
 def bounding_box(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[tuple[int, int], ...]:
-    """The ball's extent per coordinate, from the support queries in the directions +-e_k.
+    """The ball's extent per coordinate, from one support query in each direction e_k.
 
-    Equal to ``dual_ball(wmap, basis).bounding_box()``, without building the ball.
+    The ball is centrally symmetric, so the minimum of a coordinate is
+    minus its maximum.  Equal to ``dual_ball(wmap, basis).bounding_box()``,
+    without building the ball.
     """
     rank = basis.rank
-    return tuple(
-        tuple(_support_point(wmap, basis, [s * (i == k) for i in range(rank)])[k] for s in (-1, 1))
-        for k in range(rank)
-    )
+    top = [_support_point(wmap, basis, [int(i == k) for i in range(rank)])[k] for k in range(rank)]
+    return tuple((-x, x) for x in top)
 
 
 def _ccw_compare(p: Coords, q: Coords) -> int:
@@ -191,22 +205,26 @@ def _genus_one_ball(
 ) -> tuple[tuple[Coords, ...], tuple[Coords, ...]]:
     """Class points and extreme points of a rank-2 ball, walked with the support oracle.
 
-    The vertices in the directions +-e1, +-e2 start a counterclockwise
-    polygon; the outward normal of each side either finds a vertex beyond
-    it, which is inserted, or confirms the side.  The class points are the
-    lattice points congruent to the parity class inside the polygon.
+    The vertices in the directions e1, e2 and their negations start a
+    counterclockwise polygon.  The ball is centrally symmetric, so the
+    second half of the polygon negates the first, and only the first
+    half's sides are tested: the outward normal of each either finds a
+    vertex beyond it, which is inserted together with its negation half
+    the polygon further on, or confirms the side and its mirror.  The
+    class points are the lattice points congruent to the parity class
+    inside the polygon.
     """
-    vertices = sorted(
-        {_support_vertex(wmap, basis, d) for d in ((1, 0), (0, 1), (-1, 0), (0, -1))},
-        key=cmp_to_key(_ccw_compare),
-    )
+    seeds = {_support_vertex(wmap, basis, d) for d in ((1, 0), (0, 1))}
+    vertices = sorted(seeds | {(-x, -y) for x, y in seeds}, key=cmp_to_key(_ccw_compare))
     k = 0
-    while k < len(vertices):
-        p, q = vertices[k], vertices[(k + 1) % len(vertices)]
+    while k < len(vertices) // 2:
+        p, q = vertices[k], vertices[k + 1]
         normal = (q[1] - p[1], p[0] - q[0])
         r = _support_vertex(wmap, basis, normal)
         if sum(map(mul, normal, r)) > sum(map(mul, normal, p)):
+            half = len(vertices) // 2
             vertices.insert(k + 1, r)
+            vertices.insert(k + half + 2, (-r[0], -r[1]))
         else:
             k += 1
     parity = gamma_parity(wmap, basis)
@@ -248,7 +266,8 @@ def _build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
     transfer-matrix count, and a class point is extreme iff the ball's
     normal cone there is full-dimensional, i.e. its highest potential has
     full normal rank; a point that is the only maximizer of its own
-    pairing is an exposed vertex and skips that test.
+    pairing is an exposed vertex and skips that test.  p and -p are
+    extreme together, so the test runs once per pair, on max(p, -p).
     """
     if basis.rank == 2:
         points, extreme = _genus_one_ball(wmap, basis)
@@ -260,10 +279,15 @@ def _build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
         array = np.array(points, dtype=np.int64)
         gram = array @ array.T
         exposed = (gram >= gram.diagonal()[:, None]).sum(axis=1) == 1
-        extreme = tuple(
-            p for p, alone in zip(points, exposed.tolist())
-            if alone or highest_potential(wmap, basis, p).normal_rank == basis.rank
-        )
+        vertex: dict[Coords, bool] = {}  # max(p, -p) -> whether p and -p are extreme
+        extreme = []
+        for p, alone in zip(points, exposed.tolist()):
+            key = max(p, tuple(-x for x in p))
+            if not alone and key not in vertex:
+                vertex[key] = highest_potential(wmap, basis, key).normal_rank == basis.rank
+            if alone or vertex[key]:
+                extreme.append(p)
+        extreme = tuple(extreme)
     dim = affine_dimension(points)
     polygon = None
     area = None

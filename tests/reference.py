@@ -34,19 +34,27 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import product
 from math import inf
+from operator import mul
 from typing import Iterator, Sequence
 
 from wallnorm import oracle
-from wallnorm.coorient import Coorientation
+from wallnorm.birkhoff import ClassificationReport, SectionClass, section_invariants
+from wallnorm.coorient import Coorientation, eulerian_class_counts
+from wallnorm.eikonal import _arcs, _potential, highest_potential
 from wallnorm.errors import (
     BadDegree, BoxExceeded, InternalError, MalformedInput, TorsionDetected,
     UnstableTruncation,
 )
 from wallnorm.homology import (
-    Coords, HomologyBasis, _check_basis, _path_to_root, boundary_matrices,
+    Coords, HomologyBasis, _check_basis, _path_to_root, boundary_matrices, gamma_parity,
 )
+from wallnorm.normball import (
+    DualBall, _ccw_compare, _polygon_position, _support_point, _support_vertex,
+)
+from wallnorm.simplex import affine_dimension
 from wallnorm.surface_map import (
     Crossing, DualGraph, Walk, WallSystemMap, reverse_walk,
 )
@@ -776,3 +784,116 @@ def snf_homology_basis(wmap: WallSystemMap) -> HomologyBasis:
     basis = HomologyBasis(wmap, tuple(cycles), tuple(cocycles), label="auto")
     _check_basis(basis)
     return basis
+
+
+def bounding_box(wmap: WallSystemMap, basis: HomologyBasis) -> tuple[tuple[int, int], ...]:
+    """The ball's extent per coordinate, from the support queries in the directions +-e_k."""
+    rank = basis.rank
+    return tuple(
+        tuple(_support_point(wmap, basis, [s * (i == k) for i in range(rank)])[k] for s in (-1, 1))
+        for k in range(rank)
+    )
+
+
+def genus_one_ball(
+    wmap: WallSystemMap, basis: HomologyBasis
+) -> tuple[tuple[Coords, ...], tuple[Coords, ...]]:
+    """Class points and extreme points of a rank-2 ball, walked with the support oracle.
+
+    The vertices in the directions +-e1, +-e2 start a counterclockwise
+    polygon; the outward normal of each side either finds a vertex beyond
+    it, which is inserted, or confirms the side.  The class points are the
+    lattice points congruent to the parity class inside the polygon.
+    """
+    vertices = sorted(
+        {_support_vertex(wmap, basis, d) for d in ((1, 0), (0, 1), (-1, 0), (0, -1))},
+        key=cmp_to_key(_ccw_compare),
+    )
+    k = 0
+    while k < len(vertices):
+        p, q = vertices[k], vertices[(k + 1) % len(vertices)]
+        normal = (q[1] - p[1], p[0] - q[0])
+        r = _support_vertex(wmap, basis, normal)
+        if sum(map(mul, normal, r)) > sum(map(mul, normal, p)):
+            vertices.insert(k + 1, r)
+        else:
+            k += 1
+    parity = gamma_parity(wmap, basis)
+    (x0, x1), (y0, y1) = (
+        (min(v[i] for v in vertices), max(v[i] for v in vertices)) for i in (0, 1)
+    )
+    points = tuple(
+        (x, y)
+        for x in range(x0 + (x0 - parity[0]) % 2, x1 + 1, 2)
+        for y in range(y0 + (y0 - parity[1]) % 2, y1 + 1, 2)
+        if _polygon_position(vertices, x, y) != "outside"
+    )
+    return points, tuple(sorted(vertices))
+
+
+def build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
+    """The dual ball, with the highest-potential vertex test on every non-exposed class point."""
+    if basis.rank == 2:
+        points, extreme = genus_one_ball(wmap, basis)
+    else:
+        import numpy as np
+
+        classes = eulerian_class_counts(wmap, basis)[1]
+        points = tuple(sorted(classes))
+        array = np.array(points, dtype=np.int64)
+        gram = array @ array.T
+        exposed = (gram >= gram.diagonal()[:, None]).sum(axis=1) == 1
+        extreme = tuple(
+            p for p, alone in zip(points, exposed.tolist())
+            if alone or highest_potential(wmap, basis, p).normal_rank == basis.rank
+        )
+    dim = affine_dimension(points)
+    polygon = None
+    area = None
+    if basis.rank == 2 and dim == 2:
+        polygon = tuple(sorted(extreme, key=cmp_to_key(_ccw_compare)))
+        twice = sum(
+            polygon[i][0] * polygon[(i + 1) % len(polygon)][1]
+            - polygon[(i + 1) % len(polygon)][0] * polygon[i][1]
+            for i in range(len(polygon))
+        )
+        area = abs(Fraction(twice, 2))
+    return DualBall(points, extreme, dim, polygon, area, wmap, basis)
+
+
+def classify(
+    wmap: WallSystemMap, basis: HomologyBasis, ball: DualBall | None = None
+) -> ClassificationReport:
+    """``birkhoff.classify`` with one potential per congruent point of the box."""
+    if ball is not None and ball.basis not in (None, basis):
+        raise InternalError("the ball belongs to a different basis")
+    if ball is None and basis.rank == 2:
+        ball = build_ball(wmap, basis)
+    box = bounding_box(wmap, basis) if ball is None else ball.bounding_box()
+    parity = gamma_parity(wmap, basis)
+    chi, circles, genus = section_invariants(wmap)
+    entries = []
+    counts = {"interior": 0, "boundary": 0, "outside": 0}
+    congruent = [range(lo + (lo - p) % 2, hi + 1, 2) for (lo, hi), p in zip(box, parity)]
+    polygon = None if ball is None else ball.polygon
+    if polygon is not None:
+        located = [(point, _polygon_position(polygon, *point)) for point in product(*congruent)]
+    else:
+        rows = [((), [0] * wmap.edge_count)]
+        for values, cocycle in zip(congruent, basis.cocycles):
+            rows = [(point + (x,), [t + x * w for t, w in zip(row, cocycle)])
+                    for point, row in rows for x in values]
+        located = [(point, _potential(wmap, basis, _arcs(basis, row)).position)
+                   for point, row in rows]
+    for point, status in located:
+        counts[status] += 1
+        entries.append(SectionClass(point, status, chi, circles, genus))
+    return ClassificationReport(
+        wmap.digest,
+        basis.label,
+        parity,
+        tuple(entries),
+        counts["interior"],
+        counts["boundary"],
+        counts["outside"],
+    )

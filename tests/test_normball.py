@@ -3,9 +3,10 @@ import io
 import math
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,7 @@ from wallnorm.fixtures import (
 from wallnorm.normball import DualBall, NormValue
 from wallnorm.simplex import affine_dimension
 
+import reference
 from reference import hull_position
 
 
@@ -460,6 +462,116 @@ def test_genus_one_positions_run_no_potential(tmp_path, monkeypatch):
             query()
 
 
+def _symmetry_cases():
+    """G(m, n) with grid and automatic bases, the named examples, 42 seeded maps of genus 1-4."""
+    cases = []
+    for m, n in product(range(1, 6), repeat=2):
+        wmap = grid_map(m, n)
+        cases += [(wmap, grid_basis(wmap, m, n)), (wmap, homology_basis(wmap))]
+    for wmap in (four_geodesic_example(), genus2_example(), one_curve_example()):
+        cases.append((wmap, homology_basis(wmap)))
+    rng = random.Random(25)
+    wanted = {1: 12, 2: 12, 3: 12, 4: 6}
+    while any(wanted.values()):
+        wmap = random_wall_system(rng.randint(2, 8), rng)
+        if wanted.get(wmap.genus):
+            wanted[wmap.genus] -= 1
+            cases.append((wmap, homology_basis(wmap)))
+    return cases
+
+
+def test_symmetric_ball_equals_the_unhalved_reference():
+    # reference: two support queries per coordinate, the four-seed walk testing
+    # every side, the vertex test on every point, one potential per classified point
+    for wmap, basis in _symmetry_cases():
+        ball = dual_ball(wmap, basis)
+        assert ball == reference.build_ball(wmap, basis), wmap.digest
+        for kept in (ball.points, ball.extreme):
+            assert set(kept) == {tuple(-x for x in p) for p in kept}, wmap.digest
+        box = reference.bounding_box(wmap, basis)
+        assert normball.bounding_box(wmap, basis) == box == ball.bounding_box(), wmap.digest
+        assert birkhoff.classify(wmap, basis) == reference.classify(wmap, basis), wmap.digest
+        if basis.rank > 2:
+            # a hand-built ball with an asymmetric box: each point gets its potential's answer
+            lowest = box[0][0]
+            lopsided = DualBall(ball.points, tuple(p for p in ball.extreme if p[0] > lowest),
+                                ball.dim)
+            assert lopsided.bounding_box()[0][0] > lowest
+            assert birkhoff.classify(wmap, basis, lopsided) == reference.classify(
+                wmap, basis, lopsided), wmap.digest
+
+
+def _genus_three_map():
+    rng = random.Random(5)
+    return next(m for m in iter(lambda: random_wall_system(6, rng), None) if m.genus == 3)
+
+
+def test_symmetry_halves_the_oracle_calls(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(normball, "support_coorientation",
+                        counted("support", normball.support_coorientation))
+    potential = counted("potential", eikonal._potential)
+    for module in (eikonal, birkhoff):  # birkhoff imports it by name
+        monkeypatch.setattr(module, "_potential", potential)
+
+    def count(query, wmap, basis):
+        calls.clear()
+        query(wmap, basis)
+        return dict(calls)
+
+    g34, genus3 = grid_map(3, 4), _genus_three_map()
+    # genus one: seeds e1, e2 and the sides of half the polygon (9 queries unhalved)
+    assert count(dual_ball, g34, grid_basis(g34, 3, 4)) == {"support": 5}
+    assert count(birkhoff.classify, g34, grid_basis(g34, 3, 4)) == {"support": 5}
+    assert count(normball.bounding_box, g34, grid_basis(g34, 3, 4)) == {"support": 2}
+    # genus three: one vertex test and one position per pair {p, -p}, one query per
+    # coordinate (38 potentials, 12 queries and 324 potentials unhalved)
+    assert count(dual_ball, genus3, homology_basis(genus3)) == {"potential": 19}
+    assert count(birkhoff.classify, genus3, homology_basis(genus3)) == {
+        "support": 6, "potential": 162}
+    assert count(normball.bounding_box, genus3, homology_basis(genus3)) == {"support": 6}
+
+
+def test_warm_and_cold_norm_agree_where_extreme_points_tie(monkeypatch):
+    # 0, +-e_k and e_j + e_k are normal to faces of the ball, where extreme points tie
+    for wmap, cold, _ in _circulation_cases():
+        rank = cold.rank
+        unit = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
+        directions = [(0,) * rank, *unit, *(tuple(-x for x in e) for e in unit)]
+        directions += [tuple(x + y for x, y in zip(unit[j], unit[k]))
+                       for j, k in combinations(range(rank), 2)]
+        warm = homology_basis(wmap)
+        dual_ball(wmap, warm)
+        for a in directions:
+            assert norm(wmap, warm, a) == norm(wmap, cold, a), (wmap.digest, a)
+        assert "ball" not in cold._memo
+    # a basis built on an equal map parsed anew answers from its ball; another map's is refused
+    twins = []
+    for make in (lambda: grid_map(2, 3), genus2_example):
+        wmap, twin = make(), make()
+        assert wmap == twin and wmap is not twin
+        basis = homology_basis(twin)
+        dual_ball(twin, basis)
+        a = tuple(range(1, basis.rank + 1))
+        twins.append((wmap, basis, a, norm(wmap, homology_basis(wmap), a)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kept ball was not used")
+
+    monkeypatch.setattr(normball, "_support_vertex", refuse)
+    for wmap, basis, a, want in twins:
+        assert norm(wmap, basis, a) == want
+        with pytest.raises(InternalError, match="different map"):
+            norm(grid_map(1, 4), basis, a)
+
+
 def _norm_outcome(wmap, basis, a):
     """norm's value and witness, or its exception's class and text (a's repr masked)."""
     try:
@@ -580,8 +692,7 @@ def test_norm_and_birkhoff_above_genus_one_never_enumerate(tmp_path, monkeypatch
     # other request answers as before with the search refused.  The genus-2
     # reports are the golden files; the genus-3 answers come from the
     # enumeration, run before the search is refused.
-    rng = random.Random(5)
-    genus3 = next(m for m in iter(lambda: random_wall_system(6, rng), None) if m.genus == 3)
+    genus3 = _genus_three_map()
     expected = {}  # wall file -> {argv tail: report lines below the header}
     for name, wmap in (("genus2", genus2_example()), ("genus3", genus3)):
         wall = tmp_path / f"{name}.wall"
