@@ -16,10 +16,11 @@ reads a well-formed request from the same table without importing
 argparse: the subcommand, all its positionals (a negative integer counts
 as one), then its long options spelled out, each at most once and followed
 by its value if it takes one.  It gives the namespace the full parser
-would, and each command takes that namespace.  Every other argv (``-h``,
-abbreviations, ``--opt=value``, ``--``, options before positionals,
-repeats, bad values, unknown words) goes to the full parser, so usage,
-help and errors are argparse's, byte for byte.
+would.  Every other argv (``-h``, abbreviations, ``--opt=value``, ``--``,
+options before positionals, repeats, bad values, unknown words) goes to
+the full parser, so usage, help and errors are argparse's, byte for byte.
+``main`` loads the map and basis once for a subcommand that reads a map,
+and the command takes the namespace, the map and the basis.
 """
 
 from __future__ import annotations
@@ -69,8 +70,7 @@ def _emit(text: str, path: str | None, out) -> None:
         print(text, end="", file=out)
 
 
-def cmd_info(args, out) -> int:
-    wmap, basis = _load(args)
+def cmd_info(args, wmap, basis, out) -> int:
     _header(out, wmap, basis)
     parity = gamma_parity(wmap, basis)
     parity_text = "(" + ",".join(str(p) for p in parity) + ")"
@@ -82,8 +82,7 @@ def cmd_info(args, out) -> int:
     return 0
 
 
-def cmd_coorientations(args, out) -> int:
-    wmap, basis = _load(args)
+def cmd_coorientations(args, wmap, basis, out) -> int:
     _header(out, wmap, basis)
     if args.list_dir:  # only listing needs the coorientations themselves
         eul = enumerate_eulerian(wmap, basis, args.max_enum)
@@ -104,13 +103,12 @@ def cmd_coorientations(args, out) -> int:
     return 0
 
 
-def cmd_classes(args, out) -> int:
-    return cmd_coorientations(
-        SimpleNamespace(**vars(args), classes=True, list_dir=None, max_enum=None), out)
+def cmd_classes(args, wmap, basis, out) -> int:
+    args = SimpleNamespace(**vars(args), classes=True, list_dir=None, max_enum=None)
+    return cmd_coorientations(args, wmap, basis, out)
 
 
-def cmd_ball(args, out) -> int:
-    wmap, basis = _load(args)
+def cmd_ball(args, wmap, basis, out) -> int:
     _header(out, wmap, basis)
     if args.area and basis.rank != 2:  # before the ball is paid for
         raise WallNormError("--area is only available for genus-one maps")
@@ -128,8 +126,7 @@ def cmd_ball(args, out) -> int:
     return 0
 
 
-def cmd_norm(args, out) -> int:
-    wmap, basis = _load(args)
+def cmd_norm(args, wmap, basis, out) -> int:
     result = norm(wmap, basis, args.coords)
     _header(out, wmap, basis)
     print(f"x = {result.value}", file=out)
@@ -137,8 +134,7 @@ def cmd_norm(args, out) -> int:
     return 0
 
 
-def cmd_oracle(args, out) -> int:
-    wmap, basis = _load(args)
+def cmd_oracle(args, wmap, basis, out) -> int:
     value, certificate = min_multicurve(wmap, basis, args.coords, args.radius)
     _header(out, wmap, basis)
     print(f"x_min = {value}", file=out)
@@ -149,8 +145,7 @@ def cmd_oracle(args, out) -> int:
     return 0
 
 
-def cmd_verify(args, out) -> int:
-    wmap, basis = _load(args)
+def cmd_verify(args, wmap, basis, out) -> int:
     _header(out, wmap, basis)
     report = verify_min_equals_max(wmap, basis, args.box)
     print(
@@ -164,8 +159,7 @@ def cmd_verify(args, out) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_realize(args, out) -> int:
-    wmap, basis = _load(args)
+def cmd_realize(args, wmap, basis, out) -> int:
     try:
         result = realize(wmap, basis, args.coords, method=args.method)
     except WallNormError:  # a refused class is reported under the header; a usage error is not
@@ -177,8 +171,7 @@ def cmd_realize(args, out) -> int:
     return 0
 
 
-def cmd_birkhoff(args, out) -> int:
-    wmap, basis = _load(args)
+def cmd_birkhoff(args, wmap, basis, out) -> int:
     _header(out, wmap, basis)
     report = classify(wmap, basis)
     for entry in report.entries:
@@ -218,11 +211,10 @@ def cmd_birkhoff(args, out) -> int:
     return 0
 
 
-def cmd_svg(args, out) -> int:
-    wmap, basis = _load(args)
+def cmd_svg(args, wmap, basis, out) -> int:
     check_genus_one(basis.rank)  # before the ball and the classification are paid for
     ball = dual_ball(wmap, basis)
-    report = classify(wmap, basis, ball)
+    report = classify(wmap, basis)  # reads the ball kept on the basis
     _emit(render_svg(ball, [(e.point, e.status) for e in report.entries]), args.out, out)
     return 0
 
@@ -411,7 +403,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
             if value is not None and value <= 0:
                 raise ValueError(f"--{key.replace('_', '-')} must be positive")
         _enum_cap(getattr(args, "max_enum", None))  # a malformed WALLNORM_MAX_ENUM is refused here
-        return _SUBCOMMANDS[args.subcommand][1](args, out)
+        loaded = _load(args) if hasattr(args, "input") else ()
+        return _SUBCOMMANDS[args.subcommand][1](args, *loaded, out)
     except (WallNormError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -10,9 +10,10 @@ through homology only, so it carries an integer cohomology class.
 ``eulerian_class_counts`` counts them and their classes with a
 transfer-matrix DP and lists none; the reports that need only the count
 and the class multiset use it.  ``enumerate_eulerian`` lists them, for
-``coorientations --list``, the lookup realization and the tests.  The
-two share the edge order and nothing else; only listing meets the
-enumeration cap, and ``coorientations`` applies it to a count too.
+``coorientations --list``, the lookup realization and the tests.  Both
+place the edges by one schedule, ``_schedule``, and prune by its bound:
+a vertex's kappa-sum stays within its open darts.  Only listing meets
+the enumeration cap, and ``coorientations`` applies it to a count too.
 """
 
 from __future__ import annotations
@@ -139,11 +140,13 @@ def _check_cap(count: int, limit: int | None = None) -> None:
         raise _over_cap(cap)
 
 
-def _bfs_edge_order(wmap: WallSystemMap) -> list[int]:
-    """Edges grouped by vertex, the vertices in BFS order of the wall graph from vertex 0.
+def _schedule(wmap: WallSystemMap) -> list[tuple[int, tuple[int, int], tuple[int, int]]]:
+    """The edges in placing order, each with its tail and head ends as (vertex, open darts).
 
-    Each vertex appends its edges not yet placed, in rotation order.  A
-    valid map is connected, so the search reaches every vertex.
+    The vertices come in BFS order of the wall graph from vertex 0; each
+    appends its edges not yet placed, in rotation order, and a valid map is
+    connected.  An end's open darts, those still unplaced at its vertex once
+    the edge is placed, bound that vertex's kappa-sum; 0 closes it.
     """
     order: dict[int, None] = {}  # insertion-ordered set of the placed edges
     seen = {0}
@@ -155,25 +158,26 @@ def _bfs_edge_order(wmap: WallSystemMap) -> list[int]:
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
-    return list(order)
+    remaining = [4] * wmap.vertex_count
+    schedule = []
+    for e in order:
+        tail, head = (wmap.dart_vertex[d] for d in wmap.edges[e])
+        remaining[tail] -= 1
+        remaining[head] -= 1
+        schedule.append((e, (tail, remaining[tail]), (head, remaining[head])))
+    return schedule
 
 
 def _search_eulerian(wmap: WallSystemMap, cap: int) -> list[tuple[int, ...]]:
     """Sign vectors of all Eulerian coorientations, in search order.
 
-    Iterative backtracking over the edges in BFS order: once all four edges
-    at a vertex are placed its kappa-weighted sum must be zero, and before
-    that its absolute value must not exceed the number of darts still open.
+    Iterative backtracking over the edges of ``_schedule``: a vertex's
+    kappa-weighted sum must stay within its open darts, so it is zero once
+    all four edges there are placed.
     """
-    order = _bfs_edge_order(wmap)
-    # per search position: the edge and the vertices of its tail and head darts
-    steps = [
-        (e, wmap.dart_vertex[wmap.edges[e][0]], wmap.dart_vertex[wmap.edges[e][1]])
-        for e in order
-    ]
-    depth = len(steps)
+    schedule = _schedule(wmap)
+    depth = len(schedule)
     sums = [0] * wmap.vertex_count
-    remaining = [4] * wmap.vertex_count
     signs = [0] * wmap.edge_count
     found: list[tuple[int, ...]] = []
     pos = 0
@@ -186,13 +190,10 @@ def _search_eulerian(wmap: WallSystemMap, cap: int) -> list[tuple[int, ...]]:
                 raise _over_cap(cap)
             pos -= 1
             continue
-        e, tail, head = steps[pos]
+        e, (tail, open_tail), (head, open_head) = schedule[pos]
         s = signs[e]
-        if s:  # take back the current sign before trying the next one
-            sums[tail] -= s
-            sums[head] += s
-            remaining[tail] += 1
-            remaining[head] += 1
+        sums[tail] -= s  # take back the current sign, if any, before trying the next one
+        sums[head] += s
         if s < 0:
             signs[e] = 0
             pos -= 1
@@ -201,9 +202,7 @@ def _search_eulerian(wmap: WallSystemMap, cap: int) -> list[tuple[int, ...]]:
         signs[e] = s
         sums[tail] += s
         sums[head] -= s
-        remaining[tail] -= 1
-        remaining[head] -= 1
-        if abs(sums[tail]) <= remaining[tail] and abs(sums[head]) <= remaining[head]:
+        if abs(sums[tail]) <= open_tail and abs(sums[head]) <= open_head:
             pos += 1
     return found
 
@@ -258,8 +257,8 @@ def eulerian_class_counts(
     """The number of Eulerian coorientations and their class multiset, by transfer matrix.
 
     Nothing is enumerated: this is Lieb's transfer matrix for ice models.
-    The edges are placed in BFS order of the wall graph, and a state holds
-    the kappa-sums of the open vertices (touched, not yet closed) and the
+    The edges are placed by ``_schedule``, and a state holds the
+    kappa-sums of the open vertices (touched, not yet closed) and the
     partial class sum_i counts[i][e] * s_e, mapped to how many sign
     prefixes reach it.  A vertex's sum must stay within its open darts,
     the pruning of the search, so a closing vertex must sum to 0.  The
@@ -279,26 +278,21 @@ def eulerian_class_counts(
     """
     _check_basis_map(wmap, basis)
     counts = basis.cycle_edge_counts
-    order = _bfs_edge_order(wmap)
     # a slot per open vertex, taken on its first dart and freed when it closes
-    remaining = [4] * wmap.vertex_count
     slot_of: dict[int, int] = {}
     free: list[int] = []
     width = 0
     placed = []  # per edge in order: the slots it moves and their open darts after it
-    for e in order:
-        ends = []
-        for v in (wmap.dart_vertex[d] for d in wmap.edges[e]):
+    for e, *ends in _schedule(wmap):
+        for v, _ in ends:
             if v not in slot_of:
                 if not free:
                     free.append(width)
                     width += 1
                 slot_of[v] = free.pop()
-            remaining[v] -= 1
-            ends.append(v)
-        placed.append((e, [(slot_of[v], remaining[v]) for v in ends]))
-        for v in dict.fromkeys(ends):
-            if not remaining[v]:
+        placed.append((e, [(slot_of[v], left) for v, left in ends]))
+        for v, left in dict.fromkeys(ends):
+            if not left:
                 free.append(slot_of.pop(v))
     frontier_bits = 4 * width
     frontier_zero = sum(4 << 4 * k for k in range(width))

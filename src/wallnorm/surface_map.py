@@ -121,19 +121,6 @@ class DualGraph:
         if faces and faces[0] != faces[-1]:
             raise OpenWalk(f"walk ends at face {faces[-1]} but started at face {faces[0]}")
 
-    def is_connected(self) -> bool:
-        if self.node_count == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            for _, _, other in self.moves[node]:
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        return len(seen) == self.node_count
-
     def shortest_path(self, src: int, dst: int) -> Walk:
         """A shortest walk src -> dst (deterministic BFS, smallest links first)."""
         if src == dst:

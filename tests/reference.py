@@ -15,6 +15,10 @@ them.  ``snf_homology_basis`` is the automatic H_1 basis as a dense Smith
 normal form (``smith_normal_form``) of the off-tree relation matrix built
 it, which the tree-cotree ``homology.homology_basis`` is held to; the
 rank check of ``simplex.affine_dimension`` reads the same Smith normal form.
+``search_eulerian`` and ``eulerian_class_counts`` are the Eulerian search
+and class count as each worked out its edge order's bound on its own, the
+search with a counter of open darts updated on every step; the one
+``coorient._schedule`` both read now is held to them.
 Two of them compute the package's answers another way:
 
 * ``solve_lp``, a textbook two-phase tableau simplex with Bland's rule
@@ -32,6 +36,7 @@ Two of them compute the package's answers another way:
 from __future__ import annotations
 
 import heapq
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -42,14 +47,15 @@ from typing import Iterator, Sequence
 
 from wallnorm import oracle
 from wallnorm.birkhoff import ClassificationReport, SectionClass, section_invariants
-from wallnorm.coorient import Coorientation, eulerian_class_counts
+from wallnorm.coorient import MAX_DP_STATES, Coorientation, _over_cap
 from wallnorm.eikonal import _arcs, _potential, highest_potential
 from wallnorm.errors import (
-    BadDegree, BoxExceeded, InternalError, MalformedInput, TorsionDetected,
+    BadDegree, BoxExceeded, InternalError, MalformedInput, ResourceLimit, TorsionDetected,
     UnstableTruncation,
 )
 from wallnorm.homology import (
-    Coords, HomologyBasis, _check_basis, _path_to_root, boundary_matrices, gamma_parity,
+    Coords, HomologyBasis, _check_basis, _check_basis_map, _path_to_root, boundary_matrices,
+    gamma_parity,
 )
 from wallnorm.normball import (
     DualBall, _ccw_compare, _polygon_position, _support_point, _support_vertex,
@@ -897,3 +903,128 @@ def classify(
         counts["boundary"],
         counts["outside"],
     )
+
+
+def bfs_edge_order(wmap: WallSystemMap) -> list[int]:
+    """Edges grouped by vertex, the vertices in BFS order of the wall graph from vertex 0."""
+    order: dict[int, None] = {}
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        for d in wmap.rotations[queue.popleft()]:
+            order.setdefault(wmap.dart_edge[d])
+            w = wmap.dart_vertex[wmap.alpha[d]]
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return list(order)
+
+
+def search_eulerian(wmap: WallSystemMap, cap: int) -> list[tuple[int, ...]]:
+    """``coorient._search_eulerian`` counting each vertex's open darts as it goes."""
+    steps = [
+        (e, wmap.dart_vertex[wmap.edges[e][0]], wmap.dart_vertex[wmap.edges[e][1]])
+        for e in bfs_edge_order(wmap)
+    ]
+    depth = len(steps)
+    sums = [0] * wmap.vertex_count
+    remaining = [4] * wmap.vertex_count
+    signs = [0] * wmap.edge_count
+    found: list[tuple[int, ...]] = []
+    pos = 0
+    while pos >= 0:
+        if pos == depth:
+            if any(sums):
+                raise InternalError("enumeration reached an unbalanced vertex")
+            found.append(tuple(signs))
+            if len(found) > cap:
+                raise _over_cap(cap)
+            pos -= 1
+            continue
+        e, tail, head = steps[pos]
+        s = signs[e]
+        if s:
+            sums[tail] -= s
+            sums[head] += s
+            remaining[tail] += 1
+            remaining[head] += 1
+        if s < 0:
+            signs[e] = 0
+            pos -= 1
+            continue
+        s = -1 if s else 1
+        signs[e] = s
+        sums[tail] += s
+        sums[head] -= s
+        remaining[tail] -= 1
+        remaining[head] -= 1
+        if abs(sums[tail]) <= remaining[tail] and abs(sums[head]) <= remaining[head]:
+            pos += 1
+    return found
+
+
+def eulerian_class_counts(
+    wmap: WallSystemMap, basis: HomologyBasis
+) -> tuple[int, "Counter[Coords]"]:
+    """``coorient.eulerian_class_counts`` assigning its frontier slots from its own dart count."""
+    _check_basis_map(wmap, basis)
+    counts = basis.cycle_edge_counts
+    remaining = [4] * wmap.vertex_count
+    slot_of: dict[int, int] = {}
+    free: list[int] = []
+    width = 0
+    placed = []
+    for e in bfs_edge_order(wmap):
+        ends = []
+        for v in (wmap.dart_vertex[d] for d in wmap.edges[e]):
+            if v not in slot_of:
+                if not free:
+                    free.append(width)
+                    width += 1
+                slot_of[v] = free.pop()
+            remaining[v] -= 1
+            ends.append(v)
+        placed.append((e, [(slot_of[v], remaining[v]) for v in ends]))
+        for v in dict.fromkeys(ends):
+            if not remaining[v]:
+                free.append(slot_of.pop(v))
+    frontier_bits = 4 * width
+    frontier_zero = sum(4 << 4 * k for k in range(width))
+    fields = []
+    shift = frontier_bits
+    for row in counts:
+        bias = sum(map(abs, row))
+        bits = (2 * bias).bit_length()
+        fields.append((shift, bias, (1 << bits) - 1))
+        shift += bits
+    start = frontier_zero + sum(bias << sh for sh, bias, _ in fields)
+
+    layer = {start: 1}
+    for index, (e, ends) in enumerate(placed, start=1):
+        (tail, open_tail), (head, open_head) = ends
+        step = sum(row[e] << sh for row, (sh, _, _) in zip(counts, fields))
+        step += (1 << 4 * tail) - (1 << 4 * head)
+        allow_tail = sum(1 << 4 + s for s in range(-open_tail, open_tail + 1))
+        allow_head = sum(1 << 4 + s for s in range(-open_head, open_head + 1))
+        tail_shift, head_shift = 4 * tail, 4 * head
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for state, ways in layer.items():
+            for new in (state + step, state - step):
+                if (allow_tail >> (new >> tail_shift & 15) & 1
+                        and allow_head >> (new >> head_shift & 15) & 1):
+                    nxt[new] = get(new, 0) + ways
+        if len(nxt) > MAX_DP_STATES:
+            raise ResourceLimit(
+                f"Eulerian class count reached {len(nxt)} states at edge {index} of "
+                f"{len(placed)}, over the budget of {MAX_DP_STATES}"
+            )
+        layer = nxt
+
+    classes: Counter[Coords] = Counter()
+    frontier_mask = (1 << frontier_bits) - 1
+    for state, ways in layer.items():
+        if state & frontier_mask != frontier_zero:
+            raise InternalError("the class count closed a vertex with a nonzero sum")
+        classes[tuple((state >> sh & mask) - bias for sh, bias, mask in fields)] += ways
+    return sum(classes.values()), classes

@@ -131,6 +131,30 @@ def test_oracle_and_verify(workdir):
     assert "discrepancies: 0" in text
 
 
+def test_verify_reports_a_mismatch(workdir, monkeypatch):
+    from wallnorm import normball
+    from wallnorm.fixtures import grid_map
+    from wallnorm.homology import homology_basis
+    from wallnorm.oracle import verify_min_equals_max
+
+    true_norm = normball.norm
+
+    def off_by_one_at_1_0(wmap, basis, a):
+        result = true_norm(wmap, basis, a)
+        if tuple(a) != (1, 0):
+            return result
+        return normball.NormValue(result.value + 1, result.witness)
+
+    monkeypatch.setattr(normball, "norm", off_by_one_at_1_0)
+    wmap = grid_map(1, 1)
+    report = verify_min_equals_max(wmap, homology_basis(wmap), 1)
+    assert report.ok is False
+    assert report.discrepancies == (((1, 0), 1, 2),)
+    code, text = run_cli(["verify", str(workdir / "G11.wall"), "--box", "1"])
+    assert code == 1
+    assert text.splitlines()[-2:] == ["discrepancies: 1", "MISMATCH 1 0 oracle=1 norm=2"]
+
+
 def test_realize_writes_coorientation(workdir):
     out_file = workdir / "nu.coor"
     code, text = run_cli(
@@ -148,12 +172,12 @@ def test_realize_writes_coorientation(workdir):
 
 def test_classes_leaves_the_config_unchanged(workdir):
     # classes runs coorientations on a copy of its namespace, with --classes set
-    from wallnorm.cli import _read, cmd_classes
+    from wallnorm.cli import _load, _read, cmd_classes
 
     args = _read(["classes", str(workdir / "G11.wall")])
     given = dict(vars(args))
     out = io.StringIO()
-    assert cmd_classes(args, out) == 0
+    assert cmd_classes(args, *_load(args), out) == 0
     assert "count=" in out.getvalue()
     assert vars(args) == given == {"subcommand": "classes", "input": str(workdir / "G11.wall"),
                                    "basis": None}
@@ -226,6 +250,14 @@ def test_svg_deterministic(workdir):
     a = run_cli(["svg", str(workdir / "G22.wall"), "--basis", str(workdir / "G22.basis")])
     b = run_cli(["svg", str(workdir / "G22.wall"), "--basis", str(workdir / "G22.basis")])
     assert a == b
+
+
+def test_fixture_refuses_an_empty_grid(capsys):
+    out = io.StringIO()
+    assert main(["fixture", "0", "3"], out=out) == 1
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == (
+        "error: WallNormError: grid parameters must be at least 1\n")
 
 
 def test_fixture_round_trip(tmp_path):
@@ -319,6 +351,14 @@ def test_wrong_coordinate_count_leaves_stdout_empty(workdir, capsys, args, messa
     assert main(argv, out=out) == 2
     assert out.getvalue() == ""
     assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_oracle_radius_below_the_class_box_is_a_usage_error(workdir, capsys):
+    out = io.StringIO()
+    assert main(["oracle", str(workdir / "G22.wall"), "3", "0", "--radius", "2"], out=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == (
+        "usage error: truncation radius is smaller than the class box\n")
 
 
 @pytest.mark.parametrize("args, option", [

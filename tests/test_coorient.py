@@ -41,6 +41,7 @@ from wallnorm.fixtures import (
 from wallnorm.homology import set_user_basis
 from wallnorm.surface_map import concat_closed_walks, parse_wall_system, reverse_walk
 
+import reference
 from conftest import random_closed_walk
 
 
@@ -172,13 +173,16 @@ def _counted_by_both(wmap):
     return counted, (len(items), Counter(class_of(enum_map, c, enum_basis) for c in items))
 
 
-@pytest.mark.parametrize("make", [
+FIXTURE_MAPS = [
     *(pytest.param(lambda m=m, n=n: grid_map(m, n), id=f"G{m}{n}")
       for m in range(1, 5) for n in range(m, 6)),
     pytest.param(four_geodesic_example, id="four"),
     pytest.param(one_curve_example, id="one-curve"),
     pytest.param(genus2_example, id="genus2"),
-])
+]
+
+
+@pytest.mark.parametrize("make", FIXTURE_MAPS)
 def test_class_counts_equal_the_enumeration_on_fixtures(make):
     counted, enumerated = _counted_by_both(make())
     assert counted == enumerated
@@ -193,6 +197,32 @@ def test_class_counts_equal_the_enumeration_on_random_maps(seed):
         wmap = random_wall_system(rng.randint(2, 9), rng)
     counted, enumerated = _counted_by_both(wmap)
     assert counted == enumerated
+
+
+def _held_to_the_reference(wmap):
+    """Search items and order, cap and class counts against the per-step bookkeeping copies."""
+    found = coorient_module._search_eulerian(wmap, 10**6)
+    assert found == reference.search_eulerian(wmap, 10**6)
+    for search in (coorient_module._search_eulerian, reference.search_eulerian):
+        with pytest.raises(ResourceLimit):
+            search(wmap, len(found) - 1)
+    basis = homology_basis(wmap)
+    assert eulerian_class_counts(wmap, basis) == reference.eulerian_class_counts(wmap, basis)
+
+
+@pytest.mark.parametrize("make", FIXTURE_MAPS)
+def test_schedule_search_and_count_equal_the_reference_on_fixtures(make):
+    _held_to_the_reference(make())
+
+
+def test_schedule_search_and_count_equal_the_reference_on_seeded_maps():
+    both_darts_at_one_vertex = 0
+    for seed in range(48):
+        wmap = random_wall_system(2 + seed % 8, random.Random(seed))
+        both_darts_at_one_vertex += sum(
+            wmap.dart_vertex[t] == wmap.dart_vertex[h] for t, h in wmap.edges)
+        _held_to_the_reference(wmap)
+    assert both_darts_at_one_vertex >= 20
 
 
 def test_class_counts_ignore_the_cap_the_enumeration_keeps(monkeypatch):
@@ -363,6 +393,17 @@ def test_coorientation_file_round_trip(g22):
         Coorientation.from_text("edge 0: +\n", g22.edge_count)
     with pytest.raises(MalformedInput):
         Coorientation.from_text(text.replace("edge 3", "edge 99"), g22.edge_count)
+
+
+def test_wrong_lengths_are_refused(g22, b22):
+    with pytest.raises(MalformedInput) as info:
+        is_eulerian(g22, Coorientation((1,) * 7))
+    assert type(info.value) is MalformedInput
+    assert str(info.value) == "coorientation length does not match the edge count"
+    with pytest.raises(ValueError) as info:
+        coorient_module.support_coorientation(g22, b22, (1, 0, 0))
+    assert type(info.value) is ValueError
+    assert str(info.value) == "direction must have 2 coordinates"
 
 
 def test_direct_construction_checks_signs():

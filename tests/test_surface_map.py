@@ -184,7 +184,6 @@ def test_dual_graph_g22(g22):
     assert dual.node_count == 4
     assert len(dual.ends) == 8
     assert all(dual.degree(v) == 4 for v in range(4))
-    assert dual.is_connected()
 
 
 def test_permutation_invariants(g22, genus2, random_maps):
@@ -346,6 +345,29 @@ def test_only_ascii_decimal_integers_are_read(parse, parse_reference, text):
 def test_huge_header_is_malformed():
     with pytest.raises(MalformedInput, match=f"vertex indices must be exactly 0..{HUGE - 1}$"):
         parse_wall_system(f"vertices {HUGE}\n")
+
+
+@pytest.mark.parametrize("vertex_count, rotations, edges, error, message", [
+    (0, [], [], MalformedInput, "a wall system needs at least one vertex (V >= 1)"),
+    (2, [(0, 1, 2, 3)], [], MalformedInput, "expected 2 vertex rotations, got 1"),
+    (1, [(0, 1, 2)], [], BadDegree, "vertex 0 lists 3 darts; every vertex has degree 4"),
+    (1, [(0, 1, 2, 3)], [(0, 2)], MalformedInput, "expected E = 2V = 2 edges, got 1"),
+    (1, [(0, 1, 2, 3)], [(0, 1, 2), (3,)], MalformedInput, "edge 0 must pair exactly two darts"),
+])
+def test_constructor_refusals(vertex_count, rotations, edges, error, message):
+    with pytest.raises(error) as info:
+        WallSystemMap(vertex_count, rotations, edges)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_odd_euler_characteristic_is_refused():
+    # faces are orbits of sigma o alpha, so no connected map has an odd chi;
+    # a map that reports two faces on V = 1, E = 2 reaches the refusal
+    class TwoFaces(WallSystemMap):
+        faces = ((0, 1), (2, 3))
+
+    with pytest.raises(BadEuler, match=r"^Euler characteristic 1 is odd$"):
+        TwoFaces(1, [(0, 1, 2, 3)], [(0, 2), (1, 3)])
 
 
 def test_constructor_reads_integers_only():
