@@ -9,27 +9,22 @@ its lattice point and its topological invariants, which depend only on
 the wall system (Euler characteristic -2V, twice the number of curves
 many boundary circles).
 
-The classification enumerates nothing at any genus.  At genus one the
-box and every position come from the polygon of the dual ball, walked
-with the support oracle: one integer cross product per side and point.
-Above genus one the bounding box of the dual ball comes from rank
-support queries (``normball.bounding_box``; the ball is centrally
-symmetric, so each minimum is minus its maximum), and the position of
-each pair {p, -p} of congruent points from one highest potential, an
-integer shortest-path computation on the dual graph.  The pairings of all
-the points with the edge weights come from one product, in Python
-integers, and each pairing prices both crossings of its edge.
+The classification enumerates nothing at any genus, and decides no
+position itself: the points and their positions come from the ball layer's
+scan of the box, ``normball._located``.  At genus one the box is the kept
+polygon's and each position is read off its sides; above genus one the
+box comes from rank support queries (``normball.bounding_box``) and each
+pair {p, -p} of congruent points gets its position from one highest
+potential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .eikonal import _arcs, _potential
 from .errors import InternalError
 from .homology import Coords, HomologyBasis, gamma_parity
-from .normball import DualBall, _polygon_position, bounding_box, dual_ball
+from .normball import DualBall, _located, bounding_box, dual_ball
 from .surface_map import WallSystemMap
 
 
@@ -86,12 +81,11 @@ def classify(
     A given ``ball`` supplies the box; without one it comes from the
     support queries, except at genus one, where the kept ball is used,
     built if needed.  A ball built on another basis is refused with
-    InternalError: its box is in other coordinates.  At genus one each
-    position is read off the ball's polygon, its sides' cross products;
-    above genus one (or for a given ball without a polygon) it comes
-    straight from the highest potential, one per pair {p, -p}, keyed by
-    max(p, -p): the two share their position even when a given ball's box
-    holds only one of them.  Neither checks the ball's
+    InternalError: its box is in other coordinates.  The points and their
+    positions are ``normball._located``'s: at genus one read off the
+    ball's polygon, above genus one (or for a given ball without a
+    polygon) from the highest potential, one per pair {p, -p}, even when
+    a given ball's box holds only one of them.  Neither checks the ball's
     dimension: no check is needed.  The curves fill the surface, so a closed
     dual walk of a nonzero class crosses a wall and the norm is
     definite.  The ball is symmetric (reversing a coorientation negates its
@@ -110,26 +104,7 @@ def classify(
     chi, circles, genus = section_invariants(wmap)
     entries = []
     counts = {"interior": 0, "boundary": 0, "outside": 0}
-    congruent = [range(lo + (lo - p) % 2, hi + 1, 2) for (lo, hi), p in zip(box, parity)]
-    polygon = None if ball is None else ball.polygon
-    if polygon is not None:
-        located = [(point, _polygon_position(polygon, *point)) for point in product(*congruent)]
-    else:
-        # the pairings point.w_e of every point: the product of the points with the
-        # edge weights, one cocycle at a time, in itertools.product order
-        rows = [((), [0] * wmap.edge_count)]
-        for values, cocycle in zip(congruent, basis.cocycles):
-            rows = [(point + (x,), [t + x * w for t, w in zip(row, cocycle)])
-                    for point, row in rows for x in values]
-        # p and -p have one position (the ball is symmetric): one potential per pair
-        positions: dict[Coords, str] = {}
-        located = []
-        for point, row in rows:
-            key = max(point, tuple(-x for x in point))
-            if key not in positions:
-                positions[key] = _potential(wmap, basis, _arcs(basis, row)).position
-            located.append((point, positions[key]))
-    for point, status in located:
+    for point, status in _located(wmap, basis, box, None if ball is None else ball.polygon):
         counts[status] += 1
         entries.append(SectionClass(point, status, chi, circles, genus))
     return ClassificationReport(

@@ -27,7 +27,8 @@ from typing import Sequence
 from .errors import InternalError, MalformedInput, NotABasis, TorsionDetected
 from .snf import unimodular_inverse
 from .surface_map import Crossing, Walk, WallSystemMap, reverse_walk
-from .surface_map import _SIGN, _in_order, _indexed, _record_text, _records
+from .surface_map import _SIGN, _bfs_tree, _in_order, _indexed, _path_to_root, _record_text
+from .surface_map import _records
 
 Coords = tuple[int, ...]
 
@@ -164,27 +165,7 @@ def _spanning_tree(
             tree.add(e)
             moves[a].append((e, +1, b))
             moves[b].append((e, -1, a))
-
-    parents: dict[int, tuple[int, Crossing]] = {0: (0, (0, 0))}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for e, direction, other in moves[node]:
-                if other not in parents:
-                    parents[other] = (node, (e, direction))
-                    nxt.append(other)
-        frontier = nxt
-    return tree, parents
-
-
-def _path_to_root(parents: dict[int, tuple[int, Crossing]], node: int) -> Walk:
-    """The walk from node to node 0 inside a spanning tree."""
-    crossings = []
-    while node != 0:
-        node, (e, direction) = parents[node]
-        crossings.append((e, -direction))
-    return tuple(crossings)
+    return tree, _bfs_tree(moves, 0)
 
 
 def homology_basis(wmap: WallSystemMap) -> HomologyBasis:

@@ -15,8 +15,8 @@ The norm is symmetric, x(-a) = x(a): reversing an Eulerian coorientation
 negates its class, so the ball, its class points, its extreme points and
 every position are symmetric under p -> -p.  Every oracle call uses it:
 ``bounding_box`` takes one query per coordinate direction e_k, the
-genus-one walk tests half the polygon's sides, and the vertex test runs
-once per pair {p, -p}.
+genus-one walk tests half the polygon's sides, and the vertex test and
+every position run once per pair {p, -p}.
 
 The ball itself: at genus one it is a polygon walked with the same
 circulation; its vertices are the extreme points, and the class points
@@ -31,6 +31,10 @@ finds the extreme points among them: the class points whose tight
 closed dual walks span full rank.  The same potential decides the
 position of a lattice point there.  The ball is built once per basis and
 kept on it.  Areas come from the shoelace formula.
+
+Positions are decided here and nowhere else: ``_located`` is the one scan
+of a box's lattice points congruent to the parity class, and both the
+genus-one class points and ``birkhoff.classify`` read theirs from it.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import product
 from math import lcm
 from operator import index, mul
 from typing import Sequence
@@ -49,6 +54,9 @@ from .homology import Coords, HomologyBasis, gamma_parity
 from .homology import _check_basis_map, _class_coords, _walk_weight
 from .simplex import affine_dimension
 from .surface_map import WallSystemMap
+
+# Gram matrix entries the exposed-vertex test holds at once: 32 MB of int64
+_GRAM_BLOCK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -227,16 +235,8 @@ def _genus_one_ball(
             vertices.insert(k + half + 2, (-r[0], -r[1]))
         else:
             k += 1
-    parity = gamma_parity(wmap, basis)
-    (x0, x1), (y0, y1) = (
-        (min(v[i] for v in vertices), max(v[i] for v in vertices)) for i in (0, 1)
-    )
-    points = tuple(
-        (x, y)
-        for x in range(x0 + (x0 - parity[0]) % 2, x1 + 1, 2)
-        for y in range(y0 + (y0 - parity[1]) % 2, y1 + 1, 2)
-        if _polygon_position(vertices, x, y) != "outside"
-    )
+    box = tuple((min(v[i] for v in vertices), max(v[i] for v in vertices)) for i in (0, 1))
+    points = tuple(p for p, where in _located(wmap, basis, box, vertices) if where != "outside")
     return points, tuple(sorted(vertices))
 
 
@@ -258,6 +258,47 @@ def _polygon_position(polygon: Sequence[Coords], x: int, y: int) -> str:
     return position
 
 
+def _located(
+    wmap: WallSystemMap,
+    basis: HomologyBasis,
+    box: Sequence[tuple[int, int]],
+    polygon: Sequence[Coords] | None,
+) -> list[tuple[Coords, str]]:
+    """The box's lattice points congruent to the parity class, ascending, with their positions.
+
+    p and -p share their position (the ball is symmetric), so it is decided
+    once per pair, on max(p, -p), even when the box holds only one of
+    them: from the polygon's sides when there is a polygon, from the
+    highest potential otherwise.
+    """
+    parity = gamma_parity(wmap, basis)
+    congruent = [range(lo + (lo - p) % 2, hi + 1, 2) for (lo, hi), p in zip(box, parity)]
+    positions: dict[Coords, str] = {}
+    located = []
+    for point in product(*congruent):
+        key = max(point, tuple(-x for x in point))
+        if key not in positions:
+            positions[key] = (highest_potential(wmap, basis, key).position if polygon is None
+                              else _polygon_position(polygon, *key))
+        located.append((point, positions[key]))
+    return located
+
+
+def _exposed(array, rows: int) -> list[bool]:
+    """Per class point, whether it is the only maximizer of its own pairing.
+
+    The Gram matrix of the points is formed ``rows`` rows at a time, so
+    its memory stays within one block however many points there are.
+    """
+    flags: list[bool] = []
+    for start in range(0, len(array), rows):
+        block = array[start:start + rows]
+        gram = block @ array.T
+        own = (block * block).sum(axis=1)
+        flags += ((gram >= own[:, None]).sum(axis=1) == 1).tolist()
+    return flags
+
+
 def _build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
     """The dual ball of the basis, built afresh.
 
@@ -277,11 +318,10 @@ def _build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
         classes = eulerian_class_counts(wmap, basis)[1]
         points = tuple(sorted(classes))
         array = np.array(points, dtype=np.int64)
-        gram = array @ array.T
-        exposed = (gram >= gram.diagonal()[:, None]).sum(axis=1) == 1
+        exposed = _exposed(array, max(1, _GRAM_BLOCK // len(points)))
         vertex: dict[Coords, bool] = {}  # max(p, -p) -> whether p and -p are extreme
         extreme = []
-        for p, alone in zip(points, exposed.tolist()):
+        for p, alone in zip(points, exposed):
             key = max(p, tuple(-x for x in p))
             if not alone and key not in vertex:
                 vertex[key] = highest_potential(wmap, basis, key).normal_rank == basis.rank

@@ -123,27 +123,38 @@ class DualGraph:
 
     def shortest_path(self, src: int, dst: int) -> Walk:
         """A shortest walk src -> dst (deterministic BFS, smallest links first)."""
-        if src == dst:
-            return ()
-        parent: dict[int, tuple[int, Crossing]] = {src: (src, (0, 0))}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for edge, direction, other in self.moves[node]:
-                    if other not in parent:
-                        parent[other] = (node, (edge, direction))
-                        if other == dst:
-                            crossings = []
-                            here = dst
-                            while here != src:
-                                prev, move = parent[here]
-                                crossings.append(move)
-                                here = prev
-                            return tuple(reversed(crossings))
-                        nxt.append(other)
-            frontier = nxt
-        raise OpenWalk(f"no dual path from face {src} to face {dst}")
+        parents = _bfs_tree(self.moves, src)
+        if dst not in parents:
+            raise OpenWalk(f"no dual path from face {src} to face {dst}")
+        return reverse_walk(_path_to_root(parents, dst))
+
+
+def _bfs_tree(
+    moves: Sequence[Sequence[tuple[int, int, int]]], root: int
+) -> dict[int, tuple[int, Crossing]]:
+    """Breadth-first parent links from root along the moves (link, direction, target).
+
+    Each node's moves are tried in their listed order.  A reached node maps
+    to its parent and the crossing from the parent to it; the root is its
+    own parent.
+    """
+    parents: dict[int, tuple[int, Crossing]] = {root: (root, (0, 0))}
+    queue = [root]
+    for node in queue:
+        for link, direction, other in moves[node]:
+            if other not in parents:
+                parents[other] = (node, (link, direction))
+                queue.append(other)
+    return parents
+
+
+def _path_to_root(parents: dict[int, tuple[int, Crossing]], node: int) -> Walk:
+    """The walk from node to the root inside a tree of parent links."""
+    crossings = []
+    while parents[node][0] != node:
+        node, (link, direction) = parents[node]
+        crossings.append((link, -direction))
+    return tuple(crossings)
 
 
 def reverse_walk(walk: Sequence[Crossing]) -> Walk:
@@ -211,8 +222,6 @@ class WallSystemMap:
         if not self._is_connected():
             raise MalformedInput("the map is not connected; it does not describe one surface")
         chi = self.euler_characteristic
-        if chi % 2 != 0:
-            raise BadEuler(f"Euler characteristic {chi} is odd")
         if chi > 0:
             raise BadEuler(f"Euler characteristic {chi} > 0: genus-0 wall systems are not supported")
 
@@ -304,61 +313,30 @@ class WallSystemMap:
 
     @cached_property
     def genus(self) -> int:
-        chi = self.euler_characteristic
-        g2 = 2 - chi
-        if g2 % 2 != 0 or g2 < 0:
-            raise BadEuler(f"Euler characteristic {chi} gives no nonnegative integer genus")
-        return g2 // 2
+        """(2 - chi) / 2: a connected rotation system's chi is even, and chi > 0 is refused."""
+        return (2 - self.euler_characteristic) // 2
 
     # -- orbits -------------------------------------------------------------
 
     @cached_property
+    def _face_orbits(self) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+        sigma = self.sigma
+        return _orbits([sigma[a] for a in self.alpha])  # phi = sigma o alpha
+
+    @cached_property
     def faces(self) -> tuple[Face, ...]:
         """Orbits of phi = sigma o alpha, each listed from its smallest dart."""
-        sigma, alpha = self.sigma, self.alpha
-        seen = [False] * self.dart_count
-        out = []
-        for start in range(self.dart_count):
-            if seen[start]:
-                continue
-            orbit = []
-            d = start
-            while not seen[d]:
-                seen[d] = True
-                orbit.append(d)
-                d = sigma[alpha[d]]
-            out.append(Face(tuple(orbit)))
-        return tuple(out)
+        return tuple(map(Face, self._face_orbits[0]))
 
     @cached_property
     def face_of_dart(self) -> tuple[int, ...]:
-        out = [0] * self.dart_count
-        for i, face in enumerate(self.faces):
-            for d in face.darts:
-                out[d] = i
-        return tuple(out)
+        return self._face_orbits[1]
 
     @cached_property
     def curves(self) -> tuple[Curve, ...]:
         """Unoriented constituent curves: paired orbits of d -> sigma^2(alpha(d))."""
         sigma, alpha = self.sigma, self.alpha
-
-        def ahead(d: int) -> int:
-            return sigma[sigma[alpha[d]]]
-
-        orbit_of = [-1] * self.dart_count
-        orbits: list[list[int]] = []
-        for start in range(self.dart_count):
-            if orbit_of[start] >= 0:
-                continue
-            orbit = []
-            d = start
-            while orbit_of[d] < 0:
-                orbit_of[d] = len(orbits)
-                orbit.append(d)
-                d = ahead(d)
-            orbits.append(orbit)
-
+        orbits, orbit_of = _orbits([sigma[sigma[a]] for a in alpha])
         out = []
         used = set()
         for i, orbit in enumerate(orbits):
@@ -374,7 +352,7 @@ class WallSystemMap:
             used.add(j)
             support = frozenset(orbit) | frozenset(orbits[j])
             edges = tuple(sorted({self.dart_edge[d] for d in support}))
-            out.append(Curve(tuple(orbit), support, edges))
+            out.append(Curve(orbit, support, edges))
         return tuple(out)
 
     @cached_property
@@ -417,6 +395,26 @@ class WallSystemMap:
             f"WallSystemMap(V={self.vertex_count}, E={self.edge_count}, "
             f"F={len(self.faces)}, genus={self.genus})"
         )
+
+
+def _orbits(step: Sequence[int]) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    """The orbits of the permutation d -> step[d], and each element's orbit index.
+
+    Orbits come in the order of their smallest elements, each listed from
+    that element.
+    """
+    orbit_of = [-1] * len(step)
+    orbits: list[tuple[int, ...]] = []
+    for start in range(len(step)):
+        if orbit_of[start] < 0:
+            orbit = []
+            d = start
+            while orbit_of[d] < 0:
+                orbit_of[d] = len(orbits)
+                orbit.append(d)
+                d = step[d]
+            orbits.append(tuple(orbit))
+    return orbits, tuple(orbit_of)
 
 
 def _record_text(keyword: str, rows: Iterable[Iterable[object]]) -> str:

@@ -15,6 +15,9 @@ them.  ``snf_homology_basis`` is the automatic H_1 basis as a dense Smith
 normal form (``smith_normal_form``) of the off-tree relation matrix built
 it, which the tree-cotree ``homology.homology_basis`` is held to; the
 rank check of ``simplex.affine_dimension`` reads the same Smith normal form.
+``shortest_path`` is the dual graph's breadth-first search stopping at its
+target, which ``DualGraph.shortest_path``, reading the path off a whole
+breadth-first tree, is held to.
 ``search_eulerian`` and ``eulerian_class_counts`` are the Eulerian search
 and class count as each worked out its edge order's bound on its own, the
 search with a counter of open darts updated on every step; the one
@@ -50,8 +53,8 @@ from wallnorm.birkhoff import ClassificationReport, SectionClass, section_invari
 from wallnorm.coorient import MAX_DP_STATES, Coorientation, _over_cap
 from wallnorm.eikonal import _arcs, _potential, highest_potential
 from wallnorm.errors import (
-    BadDegree, BoxExceeded, InternalError, MalformedInput, ResourceLimit, TorsionDetected,
-    UnstableTruncation,
+    BadDegree, BoxExceeded, InternalError, MalformedInput, OpenWalk, ResourceLimit,
+    TorsionDetected, UnstableTruncation,
 )
 from wallnorm.homology import (
     Coords, HomologyBasis, _check_basis, _check_basis_map, _path_to_root, boundary_matrices,
@@ -736,6 +739,31 @@ def dual_spanning_tree(dual: DualGraph) -> tuple[set[int], dict[int, tuple[int, 
                     nxt.append(other)
         frontier = nxt
     return tree, parents
+
+
+def shortest_path(dual: DualGraph, src: int, dst: int) -> Walk:
+    """A shortest walk src -> dst (deterministic BFS, smallest links first)."""
+    if src == dst:
+        return ()
+    parent: dict[int, tuple[int, Crossing]] = {src: (src, (0, 0))}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for edge, direction, other in dual.moves[node]:
+                if other not in parent:
+                    parent[other] = (node, (edge, direction))
+                    if other == dst:
+                        crossings = []
+                        here = dst
+                        while here != src:
+                            prev, move = parent[here]
+                            crossings.append(move)
+                            here = prev
+                        return tuple(reversed(crossings))
+                    nxt.append(other)
+        frontier = nxt
+    raise OpenWalk(f"no dual path from face {src} to face {dst}")
 
 
 def snf_homology_basis(wmap: WallSystemMap) -> HomologyBasis:

@@ -443,8 +443,7 @@ def test_genus_one_positions_run_no_potential(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a potential ran")
 
-    for module in (eikonal, birkhoff):  # birkhoff imports it by name
-        monkeypatch.setattr(module, "_potential", refuse)
+    monkeypatch.setattr(eikonal, "_potential", refuse)
     for wmap in (grid_map(3, 4), four_geodesic_example()):
         basis = homology_basis(wmap)
         ball = dual_ball(wmap, basis)
@@ -517,9 +516,7 @@ def test_symmetry_halves_the_oracle_calls(monkeypatch):
 
     monkeypatch.setattr(normball, "support_coorientation",
                         counted("support", normball.support_coorientation))
-    potential = counted("potential", eikonal._potential)
-    for module in (eikonal, birkhoff):  # birkhoff imports it by name
-        monkeypatch.setattr(module, "_potential", potential)
+    monkeypatch.setattr(eikonal, "_potential", counted("potential", eikonal._potential))
 
     def count(query, wmap, basis):
         calls.clear()
@@ -537,6 +534,30 @@ def test_symmetry_halves_the_oracle_calls(monkeypatch):
     assert count(birkhoff.classify, genus3, homology_basis(genus3)) == {
         "support": 6, "potential": 162}
     assert count(normball.bounding_box, genus3, homology_basis(genus3)) == {"support": 6}
+
+
+def test_exposed_test_by_row_blocks_keeps_the_extreme_points(monkeypatch):
+    rng = random.Random(27)
+    maps = [genus2_example(), _genus_three_map()]
+    while len(maps) < 2 + 10:
+        wmap = random_wall_system(rng.randint(3, 8), rng)
+        if 2 <= wmap.genus <= 4:
+            maps.append(wmap)
+    assert {m.genus for m in maps} == {2, 3, 4}
+    real = normball._exposed
+    for wmap in maps:
+        flags = {}
+        extreme = {}
+        for rows in (None, 1, 7):  # None: the whole Gram matrix as one block
+
+            def exposed(array, _, rows=rows):
+                flags[rows] = real(array, rows or len(array))
+                return flags[rows]
+
+            monkeypatch.setattr(normball, "_exposed", exposed)
+            extreme[rows] = dual_ball(wmap, homology_basis(wmap)).extreme
+        assert flags[1] == flags[7] == flags[None] and any(flags[None]), wmap.digest
+        assert extreme[1] == extreme[7] == extreme[None], wmap.digest
 
 
 def test_warm_and_cold_norm_agree_where_extreme_points_tie(monkeypatch):

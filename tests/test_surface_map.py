@@ -1,9 +1,11 @@
+import itertools
 import os
 import random
 import re
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from functools import cache, partial
 from pathlib import Path
 
@@ -21,7 +23,10 @@ from wallnorm import (
     parse_wall_system,
 )
 from wallnorm.coorient import Coorientation
-from wallnorm.fixtures import grid_basis_text, grid_map, grid_text, random_wall_system
+from wallnorm.fixtures import (
+    four_geodesic_example, genus2_example, grid_basis_text, grid_map, grid_text,
+    random_wall_system,
+)
 
 
 def test_parse_g11(g11):
@@ -184,6 +189,16 @@ def test_dual_graph_g22(g22):
     assert dual.node_count == 4
     assert len(dual.ends) == 8
     assert all(dual.degree(v) == 4 for v in range(4))
+
+
+def test_shortest_path_matches_the_early_stopping_bfs():
+    for wmap in (grid_map(2, 3), four_geodesic_example(), genus2_example()):
+        dual = wmap.dual_graph
+        for src, dst in itertools.product(range(dual.node_count), repeat=2):
+            path = dual.shortest_path(src, dst)
+            assert path == reference.shortest_path(dual, src, dst), (wmap.digest, src, dst)
+            faces = dual.walk_faces(path)
+            assert not path or (faces[0], faces[-1]) == (src, dst)
 
 
 def test_permutation_invariants(g22, genus2, random_maps):
@@ -360,14 +375,48 @@ def test_constructor_refusals(vertex_count, rotations, edges, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
-def test_odd_euler_characteristic_is_refused():
-    # faces are orbits of sigma o alpha, so no connected map has an odd chi;
-    # a map that reports two faces on V = 1, E = 2 reaches the refusal
-    class TwoFaces(WallSystemMap):
-        faces = ((0, 1), (2, 3))
+def _matchings(darts):
+    """Every way to pair the darts, each pair ascending, pairs in order of their first dart."""
+    if not darts:
+        yield []
+        return
+    first, rest = darts[0], darts[1:]
+    for k, other in enumerate(rest):
+        for tail in _matchings(rest[:k] + rest[k + 1:]):
+            yield [(first, other), *tail]
 
-    with pytest.raises(BadEuler, match=r"^Euler characteristic 1 is odd$"):
-        TwoFaces(1, [(0, 1, 2, 3)], [(0, 2), (1, 3)])
+
+def test_every_accepted_small_map_has_even_euler_characteristic():
+    """No map the constructor accepts has an odd chi, so it needs no refusal for one.
+
+    V = 1: every rotation and every edge list.  V = 2: every matching under
+    every pair of rotation orders; relabeling the darts brings any V = 2 map
+    to vertex darts 0..3 and 4..7, and the faces ignore edge order and
+    direction.
+    """
+    cases = [(1, [rot], [(a, b) if up else (b, a), (c, d) if down else (d, c)][::step])
+             for rot in itertools.permutations(range(4))
+             for (a, b), (c, d) in _matchings([0, 1, 2, 3])
+             for up, down, step in itertools.product((True, False), (True, False), (1, -1))]
+    cases += [(2, [(0, *r0), (4, *r1)], edges)
+              for r0 in itertools.permutations((1, 2, 3))
+              for r1 in itertools.permutations((5, 6, 7))
+              for edges in _matchings(list(range(8)))]
+    assert len(cases) == 24 * 24 + 36 * 105
+    accepted = Counter()
+    for vertex_count, rotations, edges in cases:
+        try:
+            wmap = WallSystemMap(vertex_count, rotations, edges)
+        except BadEuler as error:  # genus 0
+            assert str(error).startswith("Euler characteristic 2 > 0"), error
+            continue
+        except MalformedInput as error:
+            assert "not connected" in str(error), error
+            continue
+        chi = wmap.euler_characteristic
+        assert chi % 2 == 0 and chi == 2 - 2 * wmap.genus, (rotations, edges)
+        accepted[vertex_count] += 1
+    assert accepted[1] and accepted[2]
 
 
 def test_constructor_reads_integers_only():
