@@ -74,15 +74,15 @@ class Coorientation:
         return cls(tuple(_in_order(signs, edge_count, "edge")))
 
 
-def _vertex_terms(wmap: WallSystemMap, coor: Coorientation, v: int) -> list[int]:
-    return [wmap.kappa(d) * coor.signs[wmap.dart_edge[d]] for d in wmap.rotations[v]]
-
-
 def is_eulerian(wmap: WallSystemMap, coor: Coorientation) -> bool:
     """True iff the kappa-weighted signs cancel around every vertex."""
-    if len(coor) != wmap.edge_count:
+    signs = coor.signs
+    if len(signs) != wmap.edge_count:
         raise MalformedInput("coorientation length does not match the edge count")
-    return all(sum(_vertex_terms(wmap, coor, v)) == 0 for v in range(wmap.vertex_count))
+    for (e0, k0), (e1, k1), (e2, k2), (e3, k3) in wmap.incidence:
+        if k0 * signs[e0] + k1 * signs[e1] + k2 * signs[e2] + k3 * signs[e3]:
+            return False
+    return True
 
 
 def vertex_kind(wmap: WallSystemMap, coor: Coorientation, v: int) -> str:
@@ -91,7 +91,7 @@ def vertex_kind(wmap: WallSystemMap, coor: Coorientation, v: int) -> str:
     Transparent means the coorientation continues straight through along
     both strands; alternating means it flips on every strand.
     """
-    t = _vertex_terms(wmap, coor, v)
+    t = [k * coor.signs[e] for e, k in wmap.incidence[v]]
     if sum(t) != 0:
         return "none"
     if t[0] + t[2] == 0 and t[1] + t[3] == 0:

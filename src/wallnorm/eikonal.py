@@ -225,7 +225,7 @@ def realize(
 
     if any(abs(s) != 1 for s in potential.steps):
         raise InternalError(f"the highest extension of {n} is not eikonal")
-    candidate = Coorientation(potential.steps)
+    candidate = Coorientation._unchecked(potential.steps)  # every step is +-1
     walked = tuple(_walk_weight(candidate.signs, b) for b in basis.cycles)
     if not is_eulerian(wmap, candidate) or walked != n:
         raise InternalError(f"the highest extension of {n} does not realize it")

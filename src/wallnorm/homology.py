@@ -56,8 +56,9 @@ def boundary_matrices(wmap: WallSystemMap) -> BoundaryMatrices:
         d1[left][j] += 1
         d1[right][j] -= 1
     d2 = [[0] * v for _ in range(e)]
-    for d in range(wmap.dart_count):
-        d2[wmap.dart_edge[d]][wmap.dart_vertex[d]] += wmap.kappa(d)
+    for vertex, darts in enumerate(wmap.incidence):
+        for edge, kappa in darts:
+            d2[edge][vertex] += kappa
     return BoundaryMatrices(tuple(map(tuple, d1)), tuple(map(tuple, d2)))
 
 
@@ -231,13 +232,12 @@ def _check_basis(basis: HomologyBasis) -> None:
     """Raise InternalError unless the cocycles vanish on every 2-cell and pair to the identity.
 
     A 2-cell's boundary is its vertex's four darts, each on its edge with
-    weight kappa, as in ``boundary_matrices``.
+    weight kappa: ``WallSystemMap.incidence``, as in ``boundary_matrices``.
     """
-    wmap = basis.wmap
-    edge_of, kappa = wmap.dart_edge, wmap.kappa
+    incidence = basis.wmap.incidence
     for i, w in enumerate(basis.cocycles):
-        for v, darts in enumerate(wmap.rotations):
-            if sum(w[edge_of[d]] * kappa(d) for d in darts):
+        for v, darts in enumerate(incidence):
+            if sum(w[e] * kappa for e, kappa in darts):
                 raise InternalError(f"cocycle {i} does not vanish on 2-cell {v}")
     for i in range(basis.rank):
         for j in range(basis.rank):

@@ -8,15 +8,14 @@ computes it at any genus.  A cold ``norm`` runs it once, on a cost
 perturbed so that the maximizer is the lexicographically smallest
 maximizing class, and builds no ball; ``norm_rational`` scales its class
 to integers and asks ``norm``.  Once the ball is kept on the basis, a norm
-query scans its extreme points once, in ascending order, keeping the
-first strict maximum of the pairing.
+query reads one pairing per pair {p, -p} of its extreme points.
 
 The norm is symmetric, x(-a) = x(a): reversing an Eulerian coorientation
 negates its class, so the ball, its class points, its extreme points and
 every position are symmetric under p -> -p.  Every oracle call uses it:
 ``bounding_box`` takes one query per coordinate direction e_k, the
 genus-one walk tests half the polygon's sides, and the vertex test and
-every position run once per pair {p, -p}.
+every position run once per pair {p, -p}; so does the warm norm's scan.
 
 The ball itself: at genus one it is a polygon walked with the same
 circulation; its vertices are the extreme points, and the class points
@@ -42,13 +41,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import product
 from math import lcm
-from operator import index, mul
-from typing import Sequence
+from operator import add, index, mul
+from typing import Iterator, NamedTuple, Sequence
 
+from . import eikonal
 from .coorient import eulerian_class_counts, is_eulerian, support_coorientation
-from .eikonal import highest_potential
 from .errors import DegenerateBall, InternalError
 from .homology import Coords, HomologyBasis, gamma_parity
 from .homology import _check_basis_map, _class_coords, _walk_weight
@@ -59,8 +57,7 @@ from .surface_map import WallSystemMap
 _GRAM_BLOCK = 1 << 22
 
 
-@dataclass(frozen=True)
-class NormValue:
+class NormValue(NamedTuple):
     """An exact norm value together with a maximizing Eulerian class."""
 
     value: int
@@ -76,7 +73,11 @@ class DualBall:
     For genus one, ``polygon`` walks the extreme points counterclockwise and
     ``g1_area`` is the exact enclosed area.  ``wmap`` and ``basis`` are the
     map and basis the ball was built from; ``contains`` decides positions
-    on them.
+    on them.  ``pairs`` holds one entry (p[0], p[1], p, -p) per pair
+    {p, -p} of extreme points, p < -p, ascending: the extreme points are
+    symmetric, so ``norm`` reads one product p.a per pair.  It is a field
+    set at construction, not a cached property, because an attribute added
+    to an instance later slows every other attribute read on it.
     """
 
     points: tuple[Coords, ...]
@@ -86,6 +87,13 @@ class DualBall:
     g1_area: Fraction | None = None
     wmap: WallSystemMap | None = field(default=None, compare=False, repr=False)
     basis: HomologyBasis | None = field(default=None, compare=False, repr=False)
+    pairs: tuple[tuple[int, int, Coords, Coords], ...] = field(
+        init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        smaller = sorted({min(p, tuple(-x for x in p)) for p in self.extreme})
+        pairs = tuple((p[0], p[1], p, tuple(-x for x in p)) for p in smaller)
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def ambient_dim(self) -> int:
@@ -103,9 +111,11 @@ def norm(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence[int]) -> NormVal
 
     The witness is the lexicographically smallest maximizing class: the
     maximizers form a face of the ball, whose lexicographic minimum is a
-    vertex.  A kept ball's extreme points are in ascending order, so the
-    first strict maximum of one scan over them is that vertex.  Without a
-    kept ball one circulation, ``_support_vertex``, finds it.
+    vertex.  On a kept ball one product p.a per pair {p, -p} of extreme
+    points (``DualBall.pairs``) gives |p.a|, attained at p or -p by its
+    sign; at p.a = 0 both attain it and p, the smaller, is kept, and
+    between pairs a tie goes to the smaller witness.  Without a kept ball
+    one circulation, ``_support_vertex``, finds the vertex.
 
     A cold query pays that circulation every time and keeps nothing.  A
     caller with many queries on one basis builds the ball first with
@@ -117,15 +127,20 @@ def norm(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence[int]) -> NormVal
         # genus one, where warm queries come in bulk: the two coordinates inline
         try:
             a0, a1 = a
-            a0, a1 = index(a0), index(a1)
+            if type(a0) is not int:
+                a0 = index(a0)
+            if type(a1) is not int:
+                a1 = index(a1)
         except (TypeError, ValueError):
             a0, a1 = _class_coords(a, 2)  # raises the exact error
         if basis.wmap is not wmap:
             _check_basis_map(wmap, basis)
-        best = witness = None
-        for p in ball.extreme:  # ascending, so the first strict maximum is the smallest maximizer
-            value = p[0] * a0 + p[1] * a1
-            if best is None or value > best:
+        best, witness = -1, None
+        for x, y, p, q in ball.pairs:
+            value = x * a0 + y * a1
+            if value < 0:  # -p maximizes; on a tie p, the smaller, stays
+                value, p = -value, q
+            if value > best or value == best and p < witness:
                 best, witness = value, p
     else:
         a = _class_coords(a, len(basis.cycles))
@@ -134,14 +149,16 @@ def norm(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence[int]) -> NormVal
         if ball is None:
             witness = _support_vertex(wmap, basis, a)
             return NormValue(sum(map(mul, witness, a)), witness)
-        best = witness = None
-        for p in ball.extreme:
+        best, witness = -1, None
+        for _, _, p, q in ball.pairs:
             value = sum(map(mul, p, a))
-            if best is None or value > best:
+            if value < 0:
+                value, p = -value, q
+            if value > best or value == best and p < witness:
                 best, witness = value, p
     if witness is None:
         raise InternalError("the dual ball has no extreme points")
-    return NormValue(best, witness)
+    return tuple.__new__(NormValue, (best, witness))
 
 
 def norm_rational(wmap: WallSystemMap, basis: HomologyBasis, a: Sequence) -> Fraction:
@@ -267,21 +284,58 @@ def _located(
     """The box's lattice points congruent to the parity class, ascending, with their positions.
 
     p and -p share their position (the ball is symmetric), so it is decided
-    once per pair, on max(p, -p), even when the box holds only one of
-    them: from the polygon's sides when there is a polygon, from the
-    highest potential otherwise.
+    once per pair {p, -p}, at whichever comes first in the box: from the
+    polygon's sides when there is a polygon, otherwise from the highest
+    potential, priced by the pairings ``_box_scan`` carries along.
     """
     parity = gamma_parity(wmap, basis)
     congruent = [range(lo + (lo - p) % 2, hi + 1, 2) for (lo, hi), p in zip(box, parity)]
     positions: dict[Coords, str] = {}
     located = []
-    for point in product(*congruent):
+    for point, pairings in _box_scan(congruent, basis.edge_weights if polygon is None else ()):
         key = max(point, tuple(-x for x in point))
         if key not in positions:
-            positions[key] = (highest_potential(wmap, basis, key).position if polygon is None
-                              else _polygon_position(polygon, *key))
+            positions[key] = (
+                _polygon_position(polygon, *point) if polygon is not None
+                else eikonal._potential(wmap, basis, eikonal._arcs(basis, pairings)).position
+            )
         located.append((point, positions[key]))
     return located
+
+
+def _box_scan(
+    ranges: Sequence[range], weights: Sequence[Coords]
+) -> Iterator[tuple[Coords, list[int]]]:
+    """The points n of ``product(*ranges)`` in its order, each with its pairings n.w per weight w.
+
+    Moving on to the next point advances one coordinate k by its step and
+    resets every later one to its first value, which adds one fixed vector
+    per k to the pairings: one addition per weight and point.
+    """
+    if not all(ranges):
+        return
+    rank = len(ranges)
+    first = [r[0] for r in ranges]
+    last = [r[-1] for r in ranges]
+    columns = [[w[k] for w in weights] for k in range(rank)]
+    advance = []
+    for k in range(rank):
+        vector = [ranges[k].step * c for c in columns[k]]
+        for j in range(k + 1, rank):
+            vector = [v - (last[j] - first[j]) * c for v, c in zip(vector, columns[j])]
+        advance.append(vector)
+    point = first[:]
+    pairings = [sum(map(mul, point, w)) for w in weights]
+    while True:
+        yield tuple(point), pairings
+        k = rank - 1
+        while point[k] == last[k]:
+            point[k] = first[k]
+            k -= 1
+            if k < 0:
+                return
+        point[k] += ranges[k].step
+        pairings = list(map(add, pairings, advance[k]))
 
 
 def _exposed(array, rows: int) -> list[bool]:
@@ -324,7 +378,7 @@ def _build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
         for p, alone in zip(points, exposed):
             key = max(p, tuple(-x for x in p))
             if not alone and key not in vertex:
-                vertex[key] = highest_potential(wmap, basis, key).normal_rank == basis.rank
+                vertex[key] = eikonal.highest_potential(wmap, basis, key).normal_rank == basis.rank
             if alone or vertex[key]:
                 extreme.append(p)
         extreme = tuple(extreme)
@@ -371,4 +425,4 @@ def contains(ball: DualBall, p: Sequence[int]) -> str:
         raise ValueError("the ball carries no map and basis; build it with dual_ball")
     if ball.polygon is not None:
         return _polygon_position(ball.polygon, *_class_coords(p, 2, "target class"))
-    return highest_potential(ball.wmap, ball.basis, p).position
+    return eikonal.highest_potential(ball.wmap, ball.basis, p).position

@@ -297,6 +297,16 @@ class WallSystemMap:
         """+1 for tail darts, -1 for head darts (vertex boundary convention)."""
         return 1 if self.dart_is_tail[dart] else -1
 
+    @cached_property
+    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex, (edge, kappa) of each of its darts in rotation order.
+
+        A vertex's kappa-weighted sums (its Eulerian condition, its row of
+        the 2-cell boundary, a cocycle's value on its 2-cell) read this.
+        """
+        edge_of, kappa = self.dart_edge, self.kappa
+        return tuple(tuple((edge_of[d], kappa(d)) for d in rot) for rot in self.rotations)
+
     # -- counts -------------------------------------------------------------
 
     @property

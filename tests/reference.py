@@ -18,6 +18,9 @@ rank check of ``simplex.affine_dimension`` reads the same Smith normal form.
 ``shortest_path`` is the dual graph's breadth-first search stopping at its
 target, which ``DualGraph.shortest_path``, reading the path off a whole
 breadth-first tree, is held to.
+``warm_norm`` is the norm on a kept genus-one ball as one ascending scan
+of all its extreme points, which the scan of ``normball.norm`` over one
+vertex per pair {p, -p} is held to.
 ``search_eulerian`` and ``eulerian_class_counts`` are the Eulerian search
 and class count as each worked out its edge order's bound on its own, the
 search with a counter of open darts updated on every step; the one
@@ -893,6 +896,17 @@ def build_ball(wmap: WallSystemMap, basis: HomologyBasis) -> DualBall:
         )
         area = abs(Fraction(twice, 2))
     return DualBall(points, extreme, dim, polygon, area, wmap, basis)
+
+
+def warm_norm(ball: DualBall, a: Sequence[int]) -> tuple[int, Coords]:
+    """The norm of a genus-one class from a kept ball, and the smallest maximizing class."""
+    a0, a1 = a
+    best = witness = None
+    for p in ball.extreme:  # ascending, so the first strict maximum is the smallest maximizer
+        value = p[0] * a0 + p[1] * a1
+        if best is None or value > best:
+            best, witness = value, p
+    return best, witness
 
 
 def classify(

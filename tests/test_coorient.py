@@ -75,6 +75,22 @@ def test_is_eulerian_matches_kappa_oracle(g22, genus2, random_maps):
             assert is_eulerian(wmap, Coorientation(signs)) == kappa_sum_oracle(wmap, signs)
 
 
+def test_incidence_sums_equal_the_per_dart_definition(g22, g23, genus2):
+    # every coorientation: each vertex's terms are kappa(d) * sign(edge of d) over its darts
+    for wmap in (g22, g23, genus2):
+        assert wmap.incidence == tuple(
+            tuple((wmap.dart_edge[d], wmap.kappa(d)) for d in rot) for rot in wmap.rotations)
+        for signs in product((1, -1), repeat=wmap.edge_count):
+            coor = Coorientation(signs)
+            terms = [[wmap.kappa(d) * signs[wmap.dart_edge[d]] for d in rot]
+                     for rot in wmap.rotations]
+            assert is_eulerian(wmap, coor) == all(sum(t) == 0 for t in terms)
+            for v, t in enumerate(terms):
+                kind = ("none" if sum(t) else
+                        "transparent" if t[0] + t[2] == 0 and t[1] + t[3] == 0 else "alternating")
+                assert vertex_kind(wmap, coor, v) == kind
+
+
 def test_g22_checkerboard_is_eulerian(g22, b22):
     coor = checkerboard_coorientation(g22)
     assert is_eulerian(g22, coor)

@@ -1,6 +1,7 @@
 import gc
 import io
 import math
+import pickle
 import random
 import weakref
 from collections import Counter
@@ -140,6 +141,53 @@ def test_norm_refuses_a_ball_without_extreme_points(g22, b22, monkeypatch):
         norm(g22, b22, (1, 0))
     with pytest.raises(InternalError, match="no extreme points"):
         norm_rational(g22, b22, (Fraction(1, 2), 0))
+
+
+def test_norm_value_is_a_named_pair(g22):
+    value = NormValue(3, (1, -2))
+    assert repr(value) == "NormValue(value=3, witness=(1, -2))"
+    twin = NormValue(3, (1, -2))
+    assert value == twin and hash(value) == hash(twin) and value is not twin
+    assert value != NormValue(3, (-1, 2)) and value != NormValue(4, (1, -2))
+    assert (value.value, value.witness) == value == (3, (1, -2))  # a plain pair compares equal
+    with pytest.raises(AttributeError):
+        value.value = 4
+    with pytest.raises(AttributeError):
+        value.witness = (0, 0)
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is NormValue and copy == value
+    # warm and cold answers are the same kind of object
+    cold = norm(g22, homology_basis(g22), (2, 1))
+    kept = homology_basis(g22)
+    dual_ball(g22, kept)
+    warm = norm(g22, kept, (2, 1))
+    assert type(cold) is type(warm) is NormValue and warm == cold
+    assert repr(warm) == f"NormValue(value={warm.value}, witness={warm.witness!r})"
+
+
+def _warm_norm_cases():
+    """G(m, n), m, n <= 5, with grid and automatic bases, the genus-one examples, 40 random maps."""
+    cases = _genus_one_position_cases()
+    wmap = one_curve_example()
+    return cases + [(wmap, homology_basis(wmap))]
+
+
+def test_warm_norm_equals_the_full_scan():
+    # one product per pair {p, -p} against the ascending scan of every extreme point,
+    # on a box of classes, a = 0, and each side normal of the polygon and its multiples,
+    # where two vertices tie
+    box = list(product(range(-7, 8), repeat=2))
+    for wmap, basis in _warm_norm_cases():
+        ball = dual_ball(wmap, basis)
+        normals = [(q[1] - p[1], p[0] - q[0])
+                   for p, q in zip(ball.polygon, ball.polygon[1:] + ball.polygon[:1])]
+        ties = [(k * x, k * y) for x, y in normals for k in (1, 2, 3)]
+        for a in box + ties:
+            got = norm(wmap, basis, a)
+            assert (got.value, got.witness) == reference.warm_norm(ball, a), (wmap.digest, a)
+        for p, q in zip(ball.polygon, ball.polygon[1:] + ball.polygon[:1]):
+            assert norm(wmap, basis, (q[1] - p[1], p[0] - q[0])).witness == min(p, q)
+        assert norm(wmap, basis, [0, 0]).witness == min(ball.extreme), wmap.digest
 
 
 def test_kept_results_die_with_their_map_and_basis():
@@ -498,6 +546,21 @@ def test_symmetric_ball_equals_the_unhalved_reference():
             assert lopsided.bounding_box()[0][0] > lowest
             assert birkhoff.classify(wmap, basis, lopsided) == reference.classify(
                 wmap, basis, lopsided), wmap.digest
+
+
+def test_box_scan_carries_the_pairings():
+    # the points in product order, each with its pairing against every weight
+    rng = random.Random(28)
+    for _ in range(40):
+        rank = rng.randint(1, 5)
+        ranges = [range(lo, lo + 2 * rng.randint(0, 3) + 1, 2)
+                  for lo in (rng.randint(-4, 4) for _ in range(rank))]
+        weights = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rng.randint(0, 6))]
+        scanned = list(normball._box_scan(ranges, weights))
+        assert [point for point, _ in scanned] == list(product(*ranges))
+        for point, pairings in scanned:
+            assert pairings == [_pairing(point, w) for w in weights], (ranges, weights, point)
+    assert list(normball._box_scan([range(0, 3, 2), range(1, 1, 2)], [(1, 1)])) == []
 
 
 def _genus_three_map():
