@@ -20,7 +20,7 @@ potential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalError
 from .homology import Coords, HomologyBasis, gamma_parity
@@ -28,8 +28,7 @@ from .normball import DualBall, _located, bounding_box, dual_ball
 from .surface_map import WallSystemMap
 
 
-@dataclass(frozen=True)
-class SectionClass:
+class SectionClass(NamedTuple):
     """One congruent lattice point with its status and section invariants."""
 
     point: Coords
@@ -39,8 +38,7 @@ class SectionClass:
     section_genus: int
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """All congruent lattice points of the bounding box, classified."""
 
     map_digest: str

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import os
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from itertools import product
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalError, MalformedInput, NotBipartite, NotEulerian, ResourceLimit
 from .homology import Coords, HomologyBasis, _check_basis_map, homology_basis
-from .surface_map import _SIGN, Crossing, WallSystemMap, _in_order, _indexed, _record_text, _records
+from .surface_map import _SIGN, Crossing, WallSystemMap, _Frozen, _in_order, _indexed, _record_text
+from .surface_map import _records
 
 ENUM_CAP_ENV = "WALLNORM_MAX_ENUM"
 DEFAULT_ENUM_CAP = 1_000_000
@@ -36,15 +36,15 @@ DEFAULT_ENUM_CAP = 1_000_000
 MAX_DP_STATES = 1_000_000
 
 
-@dataclass(frozen=True)
-class Coorientation:
+class Coorientation(_Frozen):
     """Signs in {+1, -1}, one per edge, relative to the reference direction."""
 
-    signs: tuple[int, ...]
+    __slots__ = ("signs", "__weakref__")
 
-    def __post_init__(self) -> None:
-        if any(s not in (-1, 1) for s in self.signs):
+    def __init__(self, signs: tuple[int, ...]) -> None:
+        if any(s not in (-1, 1) for s in signs):
             raise MalformedInput("coorientation signs must be +1 or -1")
+        object.__setattr__(self, "signs", signs)
 
     @classmethod
     def _unchecked(cls, signs: tuple[int, ...]) -> "Coorientation":
@@ -52,6 +52,12 @@ class Coorientation:
         coor = object.__new__(cls)
         object.__setattr__(coor, "signs", signs)
         return coor
+
+    def _key(self) -> tuple:
+        return (self.signs,)
+
+    def __repr__(self) -> str:
+        return f"Coorientation(signs={self.signs!r})"
 
     def __len__(self) -> int:
         return len(self.signs)
@@ -99,13 +105,29 @@ def vertex_kind(wmap: WallSystemMap, coor: Coorientation, v: int) -> str:
     return "alternating"
 
 
-@dataclass(frozen=True)
-class EulerianSet:
-    """Materialized result of an exhaustive Eulerian enumeration."""
+class EulerianSet(_Frozen):
+    """Materialized result of an exhaustive Eulerian enumeration.
 
-    count: int
-    items: tuple[Coorientation, ...]
-    classes: "Counter[Coords]" = field(compare=False)
+    ``classes`` is not part of equality or hash.
+    """
+
+    __slots__ = ("count", "items", "classes", "__weakref__")
+
+    def __init__(self, count: int, items: tuple[Coorientation, ...],
+                 classes: "Counter[Coords]") -> None:
+        set_field = object.__setattr__
+        set_field(self, "count", count)
+        set_field(self, "items", items)
+        set_field(self, "classes", classes)
+
+    def _key(self) -> tuple:
+        return (self.count, self.items)
+
+    def __repr__(self) -> str:
+        return f"EulerianSet(count={self.count!r}, items={self.items!r}, classes={self.classes!r})"
+
+    def __reduce__(self):
+        return EulerianSet, (self.count, self.items, self.classes)
 
     def distinct_classes(self) -> tuple[Coords, ...]:
         return tuple(sorted(self.classes))

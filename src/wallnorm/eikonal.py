@@ -33,10 +33,9 @@ the realization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .coorient import (
     Coorientation, _parent_cycle, classes_of, is_eulerian, iter_eulerian,
@@ -44,11 +43,10 @@ from .coorient import (
 from .errors import InternalError, NotRealizable
 from .homology import Coords, HomologyBasis, _class_coords, _walk_weight, gamma_parity
 from .simplex import affine_dimension
-from .surface_map import Crossing, Walk, WallSystemMap
+from .surface_map import Crossing, Walk, WallSystemMap, _Frozen
 
 
-@dataclass(frozen=True)
-class HighestPotential:
+class HighestPotential(_Frozen):
     """The highest extension of a target's seed n.h, as a potential on the faces.
 
     ``position`` is 'outside', 'boundary' or 'interior'.  Outside the ball,
@@ -59,15 +57,38 @@ class HighestPotential:
     the tight arcs (from face, to face, class delta).  ``normal_rank``,
     computed on first use, is the rank of the classes of tight closed dual
     walks: the dimension of the ball's normal cone at n, so 0 inside the
-    ball and the full rank exactly at a vertex.
+    ball and the full rank exactly at a vertex.  ``tight`` is left out of
+    the repr.
     """
 
-    position: str
-    values: tuple[int, ...] | None = None
-    steps: tuple[int, ...] | None = None
-    certificate: Walk | None = None
-    tight: tuple[tuple[int, int, Coords], ...] = field(default=(), repr=False)
-    basis_rank: int = 0
+    __slots__ = ("position", "values", "steps", "certificate", "tight", "basis_rank",
+                 "__dict__", "__weakref__")  # the dict holds the cached normal_rank
+
+    def __init__(
+        self,
+        position: str,
+        values: tuple[int, ...] | None = None,
+        steps: tuple[int, ...] | None = None,
+        certificate: Walk | None = None,
+        tight: tuple[tuple[int, int, Coords], ...] = (),
+        basis_rank: int = 0,
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "position", position)
+        set_field(self, "values", values)
+        set_field(self, "steps", steps)
+        set_field(self, "certificate", certificate)
+        set_field(self, "tight", tight)
+        set_field(self, "basis_rank", basis_rank)
+
+    def _key(self) -> tuple:
+        return (self.position, self.values, self.steps, self.certificate, self.tight,
+                self.basis_rank)
+
+    def __repr__(self) -> str:
+        return (f"HighestPotential(position={self.position!r}, values={self.values!r}, "
+                f"steps={self.steps!r}, certificate={self.certificate!r}, "
+                f"basis_rank={self.basis_rank!r})")
 
     @cached_property
     def normal_rank(self) -> int | None:
@@ -182,8 +203,7 @@ def _cycle_rank(faces: int, arcs: Sequence[tuple[int, int, Coords]], rank: int) 
     return affine_dimension([(0,) * rank, *classes])
 
 
-@dataclass(frozen=True)
-class RealizationResult:
+class RealizationResult(NamedTuple):
     """An Eulerian coorientation realizing the target class."""
 
     coorientation: Coorientation

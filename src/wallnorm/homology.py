@@ -19,22 +19,20 @@ shape of a walk matters only through its crossings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import index
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalError, MalformedInput, NotABasis, TorsionDetected
 from .snf import unimodular_inverse
-from .surface_map import Crossing, Walk, WallSystemMap, reverse_walk
+from .surface_map import Crossing, Walk, WallSystemMap, _Frozen, reverse_walk
 from .surface_map import _SIGN, _bfs_tree, _in_order, _indexed, _path_to_root, _record_text
 from .surface_map import _records
 
 Coords = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BoundaryMatrices:
+class BoundaryMatrices(NamedTuple):
     """Cellular boundary maps of the dual CW structure.
 
     ``d1`` (faces x edges) sends a link to head minus tail in the reference
@@ -62,17 +60,33 @@ def boundary_matrices(wmap: WallSystemMap) -> BoundaryMatrices:
     return BoundaryMatrices(tuple(map(tuple, d1)), tuple(map(tuple, d2)))
 
 
-@dataclass(frozen=True)
-class HomologyBasis:
+class HomologyBasis(_Frozen):
     """2g dual cycles with dual cocycle weights for coordinate extraction."""
 
-    wmap: WallSystemMap
-    cycles: tuple[Walk, ...]
-    cocycles: tuple[tuple[int, ...], ...]
-    label: str = "auto"
-    # the dual ball, kept for the basis's lifetime (see normball.dual_ball);
-    # not part of equality, hash or repr
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # _memo keeps the dual ball for the basis's lifetime (see normball.dual_ball);
+    # it is not part of equality, hash or repr.  The dict holds the cached properties.
+    __slots__ = ("wmap", "cycles", "cocycles", "label", "_memo", "__dict__", "__weakref__")
+
+    def __init__(
+        self,
+        wmap: WallSystemMap,
+        cycles: tuple[Walk, ...],
+        cocycles: tuple[tuple[int, ...], ...],
+        label: str = "auto",
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "wmap", wmap)
+        set_field(self, "cycles", cycles)
+        set_field(self, "cocycles", cocycles)
+        set_field(self, "label", label)
+        set_field(self, "_memo", {})
+
+    def _key(self) -> tuple:
+        return (self.wmap, self.cycles, self.cocycles, self.label)
+
+    def __repr__(self) -> str:
+        return (f"HomologyBasis(wmap={self.wmap!r}, cycles={self.cycles!r}, "
+                f"cocycles={self.cocycles!r}, label={self.label!r})")
 
     @property
     def rank(self) -> int:

@@ -38,7 +38,6 @@ genus-one class points and ``birkhoff.classify`` read theirs from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
@@ -51,7 +50,7 @@ from .errors import DegenerateBall, InternalError
 from .homology import Coords, HomologyBasis, gamma_parity
 from .homology import _check_basis_map, _class_coords, _walk_weight
 from .simplex import affine_dimension
-from .surface_map import WallSystemMap
+from .surface_map import WallSystemMap, _Frozen
 
 # Gram matrix entries the exposed-vertex test holds at once: 32 MB of int64
 _GRAM_BLOCK = 1 << 22
@@ -64,8 +63,7 @@ class NormValue(NamedTuple):
     witness: Coords
 
 
-@dataclass(frozen=True)
-class DualBall:
+class DualBall(_Frozen):
     """The finite class set of Eulerian coorientations and its convex hull data.
 
     ``points`` is the deduplicated class set, ``extreme`` its extreme points,
@@ -75,25 +73,46 @@ class DualBall:
     map and basis the ball was built from; ``contains`` decides positions
     on them.  ``pairs`` holds one entry (p[0], p[1], p, -p) per pair
     {p, -p} of extreme points, p < -p, ascending: the extreme points are
-    symmetric, so ``norm`` reads one product p.a per pair.  It is a field
-    set at construction, not a cached property, because an attribute added
-    to an instance later slows every other attribute read on it.
+    symmetric, so ``norm`` reads one product p.a per pair.  It is a slot
+    set at construction, so the warm norm reads it as a plain attribute.
+    ``wmap``, ``basis`` and ``pairs`` are not part of equality, hash or repr.
     """
 
-    points: tuple[Coords, ...]
-    extreme: tuple[Coords, ...]
-    dim: int
-    polygon: tuple[Coords, ...] | None = None
-    g1_area: Fraction | None = None
-    wmap: WallSystemMap | None = field(default=None, compare=False, repr=False)
-    basis: HomologyBasis | None = field(default=None, compare=False, repr=False)
-    pairs: tuple[tuple[int, int, Coords, Coords], ...] = field(
-        init=False, compare=False, repr=False)
+    __slots__ = ("points", "extreme", "dim", "polygon", "g1_area", "wmap", "basis", "pairs",
+                 "__weakref__")
 
-    def __post_init__(self) -> None:
-        smaller = sorted({min(p, tuple(-x for x in p)) for p in self.extreme})
+    def __init__(
+        self,
+        points: tuple[Coords, ...],
+        extreme: tuple[Coords, ...],
+        dim: int,
+        polygon: tuple[Coords, ...] | None = None,
+        g1_area: Fraction | None = None,
+        wmap: WallSystemMap | None = None,
+        basis: HomologyBasis | None = None,
+    ) -> None:
+        smaller = sorted({min(p, tuple(-x for x in p)) for p in extreme})
         pairs = tuple((p[0], p[1], p, tuple(-x for x in p)) for p in smaller)
-        object.__setattr__(self, "pairs", pairs)
+        set_field = object.__setattr__
+        set_field(self, "points", points)
+        set_field(self, "extreme", extreme)
+        set_field(self, "dim", dim)
+        set_field(self, "polygon", polygon)
+        set_field(self, "g1_area", g1_area)
+        set_field(self, "wmap", wmap)
+        set_field(self, "basis", basis)
+        set_field(self, "pairs", pairs)
+
+    def _key(self) -> tuple:
+        return (self.points, self.extreme, self.dim, self.polygon, self.g1_area)
+
+    def __repr__(self) -> str:
+        return (f"DualBall(points={self.points!r}, extreme={self.extreme!r}, dim={self.dim!r}, "
+                f"polygon={self.polygon!r}, g1_area={self.g1_area!r})")
+
+    def __reduce__(self):
+        return DualBall, (self.points, self.extreme, self.dim, self.polygon, self.g1_area,
+                          self.wmap, self.basis)
 
     @property
     def ambient_dim(self) -> int:

@@ -30,10 +30,9 @@ only in ``verify_min_equals_max``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 from operator import index
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import BoxExceeded, InternalError, ResourceLimit, UnstableTruncation
 from .homology import Coords, HomologyBasis, _class_coords
@@ -44,8 +43,7 @@ from . import normball
 MAX_COVER_STATES = 10_000_000
 
 
-@dataclass(frozen=True)
-class MultiCurveCertificate:
+class MultiCurveCertificate(NamedTuple):
     """A witness decomposition: closed dual walks with classes and lengths."""
 
     cycles: tuple[tuple[Walk, Coords, int], ...]
@@ -53,8 +51,7 @@ class MultiCurveCertificate:
     total_class: Coords
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of comparing the oracle against the max formula over a box."""
 
     box_radius: int

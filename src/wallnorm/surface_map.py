@@ -32,10 +32,9 @@ refused).  Wall-file records: ``vertex <i>: <d0> <d1> <d2> <d3>`` and
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import cached_property
 from operator import index
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BadDegree, BadEuler, DartMultiplicity, MalformedInput, OpenWalk
 
@@ -47,18 +46,56 @@ Walk = tuple[Crossing, ...]
 _SIGN = {"+": 1, "-": -1}
 
 
-@dataclass(frozen=True)
-class Face:
+class _Frozen:
+    """Base of the records that are not tuples: assignment and deletion raise AttributeError.
+
+    A subclass lists its fields in ``__slots__``, with ``__weakref__`` and,
+    when it has a cached property, ``__dict__``; it sets them in
+    ``__init__`` with ``object.__setattr__``.  It defines ``_key``, the
+    tuple of the fields that equality and hash compare; a record is
+    pickled as its class called on its key, so one with a field outside
+    the key also defines ``__reduce__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+
+class Face(_Frozen):
     """A complementary disc, given by the cyclic dart sequence of its boundary."""
 
-    darts: tuple[int, ...]
+    __slots__ = ("darts", "__weakref__")
+
+    def __init__(self, darts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "darts", darts)
+
+    def _key(self) -> tuple:
+        return (self.darts,)
+
+    def __repr__(self) -> str:
+        return f"Face(darts={self.darts!r})"
 
     def __len__(self) -> int:
         return len(self.darts)
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     """One unoriented immersed circle of the wall system.
 
     ``darts`` is the straight-ahead orbit of the smallest dart on the curve
@@ -71,16 +108,25 @@ class Curve:
     edges: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(_Frozen):
     """Dual graph of the wall system: one node per face, one link per edge.
 
     ``ends[e]`` is the pair (right face, left face); the reference direction
     of link ``e`` runs right -> left.  Self-links are allowed.
     """
 
-    node_count: int
-    ends: tuple[tuple[int, int], ...]
+    __slots__ = ("node_count", "ends", "__dict__", "__weakref__")  # dict: cached moves
+
+    def __init__(self, node_count: int, ends: tuple[tuple[int, int], ...]) -> None:
+        set_field = object.__setattr__
+        set_field(self, "node_count", node_count)
+        set_field(self, "ends", ends)
+
+    def _key(self) -> tuple:
+        return (self.node_count, self.ends)
+
+    def __repr__(self) -> str:
+        return f"DualGraph(node_count={self.node_count!r}, ends={self.ends!r})"
 
     @cached_property
     def moves(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:

@@ -130,6 +130,32 @@ MUTANTS = (
         ("tests/test_oracle.py::test_the_settle_bound_is_tight",),
         "the cover table settles one truncation early",
     ),
+    Mutant(
+        "homology.py", "return (self.wmap, self.cycles, self.cocycles, self.label)",
+        "return (self.wmap, self.cycles, self.cocycles, self.label, self._memo)",
+        ("tests/test_records.py::test_hidden_state_stays_out_of_equality",),
+        "two homology bases that differ only in the kept ball compare unequal",
+    ),
+    Mutant(
+        "normball.py", 'g1_area={self.g1_area!r})")',
+        'g1_area={self.g1_area!r}, wmap={self.wmap!r})")',
+        ("tests/test_records.py::test_record_parity[DualBall]",),
+        "the dual ball's repr shows the map it was built from",
+    ),
+    Mutant(
+        "coorient.py", """        if any(s not in (-1, 1) for s in signs):
+            raise MalformedInput("coorientation signs must be +1 or -1")
+""", "",
+        ("tests/test_records.py::test_coorientation_checks_its_signs",),
+        "a coorientation is built without its +-1 check",
+    ),
+    Mutant(
+        "surface_map.py", """    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+""", "",
+        ("tests/test_records.py::test_record_parity[Coorientation]",),
+        "the hand-written records accept assignment to a field",
+    ),
 )
 
 

@@ -1,9 +1,9 @@
-import dataclasses
 from itertools import product
 
 import pytest
 
 from wallnorm import (
+    HighestPotential,
     InternalError,
     NotRealizable,
     class_of,
@@ -117,7 +117,9 @@ def test_realize_rechecks_its_coorientation(g22, b22, monkeypatch, flip):
 
     def wrong_steps(wmap, basis, n):
         potential = real(wmap, basis, n)
-        return dataclasses.replace(potential, steps=flip(potential.steps, basis))
+        return HighestPotential(potential.position, potential.values,
+                                flip(potential.steps, basis), potential.certificate,
+                                potential.tight, potential.basis_rank)
 
     monkeypatch.setattr(eikonal, "highest_potential", wrong_steps)
     with pytest.raises(InternalError, match=r"the highest extension of \(2, 0\) does not realize it"):
